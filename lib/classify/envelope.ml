@@ -231,11 +231,13 @@ let draw_trial_maps engine ~trial ~rows ~and_cols ~n_out =
   done;
   (and_defects, or_defects)
 
-let point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~index =
+(* [samples] is the evaluation population, drawn once per run, and
+   [sample_minterms] each sample's feature vector as a minterm index. *)
+let point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~samples ~sample_minterms
+    ~index =
   let rate, sigma = grid config index in
   let m = mapped.Map.model in
   let nsamples = config.samples in
-  let sample_at s = Dataset.sample Dataset.default ~seed:config.seed s in
   let open Sweep.Stage in
   stage "classify.analog" (fun () ->
       (* The analog path: D2D σ + read noise + ADC on the reference MAC.
@@ -251,10 +253,9 @@ let point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~index =
           }
       in
       let correct = ref 0 in
-      for s = 0 to nsamples - 1 do
-        let x, label = sample_at s in
-        if Model.predict_dev ~engine m ~sample:s x = label then incr correct
-      done;
+      Array.iteri
+        (fun s (x, label) -> if Model.predict_dev ~engine m ~sample:s x = label then incr correct)
+        samples;
       float_of_int !correct /. float_of_int nsamples)
   >>> stage "classify.faults" (fun acc_analog ->
           let engine =
@@ -266,12 +267,11 @@ let point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~index =
           let and_cols = Cnfet.Plane.cols (Pla.and_plane mapped.Map.pla) in
           let n_out = Cnfet.Plane.rows (Pla.or_plane mapped.Map.pla) in
           let accuracy_through ~and_defects ~or_defects phys =
+            let labels = Map.labels_defective ~and_defects ~or_defects phys in
             let correct = ref 0 in
-            for s = 0 to nsamples - 1 do
-              let x, label = sample_at s in
-              if Map.classify_defective ~and_defects ~or_defects phys x = label then
-                incr correct
-            done;
+            Array.iteri
+              (fun s (_, label) -> if labels.(sample_minterms.(s)) = label then incr correct)
+              samples;
             float_of_int !correct /. float_of_int nsamples
           in
           let injected = ref 0 in
@@ -366,21 +366,25 @@ let run ?metrics ?(model = Pretrained.model) config =
   let phys_identity = Map.identity_physical mapped ~spare_rows:config.spare_rows in
   (* Clean-device population pass: accuracy + confusion, once. *)
   let nc = model.Model.n_classes in
+  let samples =
+    Array.init config.samples (fun s -> Dataset.sample Dataset.default ~seed:config.seed s)
+  in
+  let sample_minterms = Array.map (fun (x, _) -> Fault.Table.minterm x) samples in
   let confusion = Array.make_matrix nc nc 0 in
   let clean_correct = ref 0 in
-  for s = 0 to config.samples - 1 do
-    let x, label = Dataset.sample Dataset.default ~seed:config.seed s in
-    let pred = Map.classify mapped x in
-    if pred >= 0 && pred < nc then
-      confusion.(label).(pred) <- confusion.(label).(pred) + 1;
-    if pred = label then incr clean_correct
-  done;
+  Array.iter
+    (fun (x, label) ->
+      let pred = Map.classify mapped x in
+      if pred >= 0 && pred < nc then confusion.(label).(pred) <- confusion.(label).(pred) + 1;
+      if pred = label then incr clean_correct)
+    samples;
   let acc_clean = float_of_int !clean_correct /. float_of_int config.samples in
   let total = List.length config.rates * List.length config.sigmas in
   let task i =
     match
       Sweep.Stage.exec ?metrics
-        (point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~index:i)
+        (point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~samples
+           ~sample_minterms ~index:i)
         ()
     with
     | Ok pt -> Ok pt

@@ -48,10 +48,11 @@ let identity_physical t ~spare_rows =
   let products = Pla.num_products t.pla in
   Fault.Repair.apply t.pla (Array.init products Fun.id) ~rows:(products + spare_rows)
 
-let eval_defective ~and_defects ~or_defects pla x =
-  let products = Defect.eval_with_defects and_defects (Pla.and_plane pla) x in
-  let outs = Defect.eval_with_defects or_defects (Pla.or_plane pla) products in
-  Array.mapi (fun o v -> if Pla.output_inverted pla o then not v else v) outs
+let eval_defective = Defect.eval_pla
 
 let classify_defective ~and_defects ~or_defects pla x =
   decode (eval_defective ~and_defects ~or_defects pla x)
+
+let labels_defective ~and_defects ~or_defects pla =
+  let t = Fault.Table.eval ~and_defects ~or_defects pla in
+  Array.init (Fault.Table.minterms t) (fun m -> decode (Fault.Table.outputs t m))

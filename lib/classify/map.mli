@@ -41,12 +41,21 @@ val eval_defective :
   and_defects:Fault.Defect.map -> or_defects:Fault.Defect.map -> Cnfet.Pla.t ->
   bool array -> bool array
 (** Outputs of a (physical) PLA evaluated through per-plane defect maps,
-    output-phase inversion applied. Map geometry must match the planes.
-    Total for in-range inputs: defects degrade data, never raise. *)
+    output-phase inversion applied: {!Fault.Defect.eval_pla}. Map
+    geometry must match the planes. Total for in-range inputs: defects
+    degrade data, never raise. *)
 
 val classify_defective :
   and_defects:Fault.Defect.map -> or_defects:Fault.Defect.map -> Cnfet.Pla.t ->
   bool array -> int
 (** [decode] of {!eval_defective} — the label the broken array actually
     reads out. May name no class; that is a wrong answer, not an
-    error. *)
+    error. The per-vector reference for {!labels_defective}. *)
+
+val labels_defective :
+  and_defects:Fault.Defect.map -> or_defects:Fault.Defect.map -> Cnfet.Pla.t -> int array
+(** Every label the broken array reads out, indexed by the feature
+    vector's minterm ({!Fault.Table.minterm}): one bit-sliced
+    {!Fault.Table.eval} of the whole input space, so classifying a
+    population through one array is a lookup per sample. Entry [m]
+    equals {!classify_defective} on minterm [m]. *)

@@ -6,10 +6,20 @@
     stuck-open or stuck-closed. A fault is {e detected} by a vector when
     the faulty PLA's outputs differ from the good one's.
 
-    Generation enumerates the input space (≤ 14 inputs), finds the
-    detectable faults, and greedily compacts a complete test set — the
-    regular structure keeps these sets small, one more practical payoff of
-    the PLA architecture. *)
+    Generation works on bit-sliced truth tables ({!Table}): the good
+    array is evaluated once over the whole input space (≤ 14 inputs), and
+    each single fault's {e detection set} — the minterms on which its
+    outputs differ — comes from re-evaluating only the faulted row (an
+    AND fault's product row, then the OR rows over it; an OR fault's own
+    row) and XORing against the good rows. A greedy cover over per-vector
+    fault bitsets then repeatedly takes the first vector exposing the
+    most remaining faults (popcount). The cost is about
+    [faults × outputs × products × 2^inputs / 63] word operations for
+    the sets plus [tests × 2^inputs × faults / 63] for the cover — on
+    one core of a 2-vCPU x86-64 VM, 4 ms for the 714-fault classifier
+    PLA and 0.13 s for the 5506-fault pri3.
+    The regular structure keeps the test sets small, one more practical
+    payoff of the PLA architecture. *)
 
 type plane_kind = And_plane | Or_plane
 
@@ -35,9 +45,12 @@ val all_faults : Cnfet.Pla.t -> fault list
     construction). *)
 
 val faulty_outputs : Cnfet.Pla.t -> fault -> bool array -> bool array
-(** Outputs of the PLA with the single fault injected. *)
+(** Outputs of the PLA with the single fault injected, on one vector
+    ({!Defect.eval_pla}). A per-vector reference: {!generate} and
+    {!coverage} do not call it. *)
 
 val detects : Cnfet.Pla.t -> fault -> bool array -> bool
+(** [faulty_outputs] differs from {!Cnfet.Pla.eval} on this vector. *)
 
 val generate : Cnfet.Pla.t -> bool array list * fault list
 (** [(tests, undetectable)]: a compacted vector set detecting every
@@ -47,6 +60,8 @@ val generate : Cnfet.Pla.t -> bool array list * fault list
     @raise Too_many_inputs above {!input_limit} inputs. *)
 
 val coverage : Cnfet.Pla.t -> bool array list -> float
-(** Fraction of detectable faults caught by a given vector set.
+(** Fraction of detectable faults caught by a given vector set, on the
+    same detection sets as {!generate}. Raises [Invalid_argument] on a
+    vector whose width is not the input count.
 
     @raise Too_many_inputs above {!input_limit} inputs. *)

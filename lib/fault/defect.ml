@@ -66,3 +66,13 @@ let eval_with_defects m plane inputs =
           m.cells.(r);
         Cnfet.Gnor.eval_functional modes inputs
       end)
+
+let eval_pla ~and_defects ~or_defects pla inputs =
+  let n_in = Cnfet.Pla.num_inputs pla in
+  if Array.length inputs <> n_in then invalid_arg "Defect.eval_pla: input width";
+  let and_plane = Cnfet.Pla.and_plane pla in
+  let padded = Array.init (Cnfet.Plane.cols and_plane) (fun i -> i < n_in && inputs.(i)) in
+  let products = eval_with_defects and_defects and_plane padded in
+  let rows = eval_with_defects or_defects (Cnfet.Pla.or_plane pla) products in
+  Array.init (Cnfet.Pla.num_outputs pla) (fun o ->
+      if Cnfet.Pla.output_inverted pla o then not rows.(o) else rows.(o))

@@ -46,3 +46,9 @@ val eval_with_defects : map -> Cnfet.Plane.t -> bool array -> bool array
     crosspoints behave as [Drop]; a row containing a [Stuck_closed]
     crosspoint evaluates to constant 0 (the device discharges the
     pre-charged row unconditionally). *)
+
+val eval_pla : and_defects:map -> or_defects:map -> Cnfet.Pla.t -> bool array -> bool array
+(** The outputs of a whole PLA programmed through per-plane defect maps
+    on one input vector: inputs padded to the AND plane's width as in
+    {!Cnfet.Pla.eval}, both planes through {!eval_with_defects}, output
+    phase inversion applied. The per-vector reference for {!Table}. *)

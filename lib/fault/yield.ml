@@ -131,19 +131,7 @@ let functional_check rng ?closed_share pla cover ~defect_rate ~spare_rows =
   | Repair.Repaired assignment ->
     let rows = Cnfet.Pla.num_products pla + spare_rows in
     let physical = Repair.apply pla assignment ~rows in
-    (* Evaluate the physical PLA through the defects and compare with the
-       intended function. *)
-    let ok = ref true in
-    for m = 0 to (1 lsl n_in) - 1 do
-      let inputs = Array.init n_in (fun i -> m land (1 lsl i) <> 0) in
-      let products =
-        Defect.eval_with_defects and_defects (Cnfet.Pla.and_plane physical) inputs
-      in
-      let or_rows = Defect.eval_with_defects or_defects (Cnfet.Pla.or_plane physical) products in
-      let want = Logic.Cover.eval cover inputs in
-      for o = 0 to Cnfet.Pla.num_outputs physical - 1 do
-        let got = if Cnfet.Pla.output_inverted physical o then not or_rows.(o) else or_rows.(o) in
-        if got <> Util.Bitvec.get want o then ok := false
-      done
-    done;
-    Some !ok
+    (* The physical PLA through the defects against the cover mapped
+       onto a clean array. *)
+    let want = Table.eval (Cnfet.Pla.of_cover cover) in
+    Some (Table.equal (Table.eval ~and_defects ~or_defects physical) want)

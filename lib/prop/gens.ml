@@ -355,6 +355,47 @@ let print_repair_case c =
 let arb_repair_case ?rate () =
   Arb.make ~shrink:shrink_repair_case ~print:print_repair_case (repair_case ?rate ())
 
+(* A programmed physical array for the bit-sliced evaluator: a function
+   with random output phases, placed with spare rows, under defect maps
+   of that geometry. Widths 0 and 1 exercise the padded AND column, 7 a
+   multi-word minterm space. *)
+type table_case = {
+  tc_cover : cover_spec;
+  tc_inverted : bool array;
+  tc_spares : int;
+  tc_and : defect_spec;
+  tc_or : defect_spec;
+}
+
+let table_case () =
+  let open Gen in
+  let* cover = cover_spec ~widths:[ 0; 1; 2; 3; 7 ] ~max_out:3 ~max_cubes:5 () in
+  let* inverted = array_n cover.cv_n_out bool in
+  let* spares = int_range 0 2 in
+  let rows = max 1 (List.length cover.cv_cubes) + spares in
+  let* and_d = defect_spec ~rows ~cols:(max 1 cover.cv_n_in) ~rate:0.15 in
+  let* or_d = defect_spec ~rows:cover.cv_n_out ~cols:rows ~rate:0.15 in
+  return
+    { tc_cover = cover; tc_inverted = inverted; tc_spares = spares; tc_and = and_d; tc_or = or_d }
+
+let table_case_physical c =
+  let pla = Cnfet.Pla.of_cover ~inverted_outputs:c.tc_inverted (cover_of_spec c.tc_cover) in
+  let products = Cnfet.Pla.num_products pla in
+  Fault.Repair.apply pla (Array.init products Fun.id) ~rows:(products + c.tc_spares)
+
+let shrink_table_case c =
+  Seq.append
+    (Seq.map (fun d -> { c with tc_and = d }) (shrink_defect_spec c.tc_and))
+    (Seq.map (fun d -> { c with tc_or = d }) (shrink_defect_spec c.tc_or))
+
+let print_table_case c =
+  Printf.sprintf "%s\ninverted=%s spares=%d\nAND plane %s\nOR plane %s"
+    (print_cover_spec c.tc_cover)
+    (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") c.tc_inverted)))
+    c.tc_spares (print_defect_spec c.tc_and) (print_defect_spec c.tc_or)
+
+let arb_table_case () = Arb.make ~shrink:shrink_table_case ~print:print_table_case (table_case ())
+
 (* ------------------------------------------------------------------ *)
 (* Crossbars                                                           *)
 (* ------------------------------------------------------------------ *)

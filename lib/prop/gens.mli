@@ -99,6 +99,23 @@ type repair_case = {
 
 val arb_repair_case : ?rate:float -> unit -> repair_case Arb.t
 
+(** A physical array for the bit-sliced evaluator: a function with random
+    output phases placed on its products plus spare rows, and defect maps
+    of that geometry (stuck-closed rows included). Input widths 0 and 1
+    hit the padded AND column, 7 a multi-word minterm space. *)
+type table_case = {
+  tc_cover : cover_spec;
+  tc_inverted : bool array;  (** per output: cover holds the negative phase *)
+  tc_spares : int;
+  tc_and : defect_spec;
+  tc_or : defect_spec;
+}
+
+val table_case_physical : table_case -> Cnfet.Pla.t
+(** The identity placement of the case's PLA on [products + spares] rows. *)
+
+val arb_table_case : unit -> table_case Arb.t
+
 (** {1 Crossbars} *)
 
 type crossbar_spec = {

@@ -196,15 +196,6 @@ let atpg_full_coverage =
       let tests, _undetectable = Fault.Atpg.generate pla in
       Fault.Atpg.coverage pla tests = 1.0)
 
-(* What the physically defective array computes once the repair assignment
-   is programmed: push every minterm through [Defect.eval_with_defects] on
-   both planes and demand the original function. *)
-let defective_eval pla ~and_defects ~or_defects inputs =
-  let products = Fault.Defect.eval_with_defects and_defects (Cnfet.Pla.and_plane pla) inputs in
-  let rows = Fault.Defect.eval_with_defects or_defects (Cnfet.Pla.or_plane pla) products in
-  Array.init (Cnfet.Pla.num_outputs pla) (fun o ->
-      if Cnfet.Pla.output_inverted pla o then not rows.(o) else rows.(o))
-
 let repair_revalidation =
   Runner.make ~name:"repair/defect-map-revalidation" ~count:60 (Gens.arb_repair_case ())
     (fun (rc : Gens.repair_case) ->
@@ -222,7 +213,7 @@ let repair_revalidation =
         let repaired = Fault.Repair.apply pla assignment ~rows in
         List.for_all
           (fun m ->
-            let got = defective_eval repaired ~and_defects ~or_defects m in
+            let got = Fault.Defect.eval_pla ~and_defects ~or_defects repaired m in
             let want = Cover.eval f m in
             let ok = ref true in
             for o = 0 to rc.rp_cover.Gens.cv_n_out - 1 do
@@ -258,7 +249,9 @@ let chaos_heal_convergence =
       let tests, _ = Fault.Atpg.generate pla in
       let detected =
         List.exists
-          (fun v -> defective_eval pla ~and_defects:and_id ~or_defects:or_id v <> Cnfet.Pla.eval pla v)
+          (fun v ->
+            Fault.Defect.eval_pla ~and_defects:and_id ~or_defects:or_id pla v
+            <> Cnfet.Pla.eval pla v)
           tests
       in
       if not detected then true (* masked on the array as programmed: nothing to heal *)
@@ -273,7 +266,7 @@ let chaos_heal_convergence =
           let repaired = Fault.Repair.apply pla assignment ~rows in
           List.for_all
             (fun m ->
-              let got = defective_eval repaired ~and_defects ~or_defects m in
+              let got = Fault.Defect.eval_pla ~and_defects ~or_defects repaired m in
               let want = Cover.eval f m in
               let ok = ref true in
               for o = 0 to rc.rp_cover.Gens.cv_n_out - 1 do
@@ -281,6 +274,24 @@ let chaos_heal_convergence =
               done;
               !ok)
             (Gens.all_minterms rc.rp_cover.Gens.cv_n_in))
+
+(* The bit-sliced table kernel behind ATPG, Chaos.recover and the classify
+   envelope must agree with the per-vector reference on every minterm:
+   through the defects, and defect-free against [Pla.eval]. *)
+let table_vs_reference =
+  Runner.make ~name:"table/bitslice-vs-reference" ~count:80 (Gens.arb_table_case ())
+    (fun (tc : Gens.table_case) ->
+      let phys = Gens.table_case_physical tc in
+      let and_defects = Gens.defect_map_of_spec tc.tc_and in
+      let or_defects = Gens.defect_map_of_spec tc.tc_or in
+      let faulty = Fault.Table.eval ~and_defects ~or_defects phys in
+      let clean = Fault.Table.eval phys in
+      List.for_all
+        (fun v ->
+          let m = Fault.Table.minterm v in
+          Fault.Table.outputs faulty m = Fault.Defect.eval_pla ~and_defects ~or_defects phys v
+          && Fault.Table.outputs clean m = Cnfet.Pla.eval phys v)
+        (Gens.all_minterms tc.tc_cover.Gens.cv_n_in))
 
 (* --- crossbar ----------------------------------------------------------- *)
 
@@ -887,6 +898,7 @@ let all =
     atpg_full_coverage;
     repair_revalidation;
     chaos_heal_convergence;
+    table_vs_reference;
     crossbar_resolve_vs_hw;
     folding_witness;
     fpga_inverter_absorption;

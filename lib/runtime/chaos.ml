@@ -11,6 +11,7 @@ module Inject = Fault.Inject
 module Defect = Fault.Defect
 module Repair = Fault.Repair
 module Atpg = Fault.Atpg
+module Table = Fault.Table
 
 type scenario = {
   sc_name : string;
@@ -105,12 +106,6 @@ let truncate_map m ~rows ~cols =
   done;
   t
 
-(* Outputs of [pla] evaluated through per-plane defect maps. *)
-let defective_outputs ~and_defects ~or_defects pla inputs =
-  let products = Defect.eval_with_defects and_defects (Pla.and_plane pla) inputs in
-  let or_rows = Defect.eval_with_defects or_defects (Pla.or_plane pla) products in
-  Array.mapi (fun o v -> if Pla.output_inverted pla o then not v else v) or_rows
-
 let minterm n_in m = Array.init n_in (fun i -> m land (1 lsl i) <> 0)
 
 (* --- the reusable detect → repair → re-verify kernel --------------------- *)
@@ -134,25 +129,19 @@ let recover ?(spare_rows = 2) ~tests ~and_defects ~or_defects pla =
     (* Detection on the identity mapping (the array as programmed). *)
     let and_id = truncate_map and_defects ~rows:products ~cols:and_cols in
     let or_id = truncate_map or_defects ~rows:n_out ~cols:products in
-    let miscompare v =
-      defective_outputs ~and_defects:and_id ~or_defects:or_id pla v <> Pla.eval pla v
-    in
+    let good = Table.eval pla in
+    let as_programmed = Table.eval ~and_defects:and_id ~or_defects:or_id pla in
+    let miscompare v = Table.differs_at as_programmed good (Table.minterm v) in
     if not (List.exists miscompare tests) then finish `Undetected
     else
       match Repair.repair ~spare_rows ~and_defects ~or_defects pla with
       | Repair.Unrepairable -> finish `Unrepairable
       | Repair.Repaired assignment ->
-        let rows = products + spare_rows in
-        let physical = Repair.apply pla assignment ~rows in
+        let physical = Repair.apply pla assignment ~rows:(products + spare_rows) in
         (* Re-verify the full function through the defects. *)
-        let n_in = Pla.num_inputs pla in
-        let ok = ref true in
-        for m = 0 to (1 lsl n_in) - 1 do
-          let v = minterm n_in m in
-          if defective_outputs ~and_defects ~or_defects physical v <> Pla.eval pla v then
-            ok := false
-        done;
-        if !ok then finish (`Repaired assignment) else finish `Reverify_failed
+        if Table.equal (Table.eval ~and_defects ~or_defects physical) good then
+          finish (`Repaired assignment)
+        else finish `Reverify_failed
   end
 
 (* --- workloads ----------------------------------------------------------- *)
@@ -254,52 +243,33 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
     let injected = inj_a + inj_o in
     xpoint_t.injected <- xpoint_t.injected + injected;
     if injected > 0 then begin
-      (* Detection on the identity mapping (the array as programmed). *)
-      let and_id = truncate_map and_defects ~rows:products ~cols:and_cols in
-      let or_id = truncate_map or_defects ~rows:n_out ~cols:products in
-      let n_in = Pla.num_inputs w.pla in
-      let miscompare v =
-        defective_outputs ~and_defects:and_id ~or_defects:or_id w.pla v <> Pla.eval w.pla v
+      (* Push a repaired AND plane through the physical programming
+         network when the array is small enough to simulate, and check
+         the stored charge pattern. *)
+      let reprogram assignment =
+        let ap = Pla.and_plane (Repair.apply w.pla assignment ~rows) in
+        if !reprograms < 5 && Plane.rows ap * Plane.cols ap <= 64 then begin
+          incr reprograms;
+          let hw = Program_hw.build ~rows:(Plane.rows ap) ~cols:(Plane.cols ap) () in
+          Program_hw.program_plane hw ap;
+          Program_hw.verify hw ap
+        end
+        else true
       in
-      if not (List.exists miscompare w.tests) then
+      let rv = recover ~spare_rows ~tests:w.tests ~and_defects ~or_defects w.pla in
+      match rv.rv_status with
+      | `Clean | `Undetected ->
         (* All faults masked on the test set: nothing observable to heal. *)
         xpoint_t.undetected <- xpoint_t.undetected + injected
-      else begin
+      | (`Repaired _ | `Unrepairable | `Reverify_failed) as status ->
         xpoint_t.detected <- xpoint_t.detected + injected;
-        let healed =
-          timed_recovery @@ fun () ->
-          match Repair.repair ~spare_rows ~and_defects ~or_defects w.pla with
-          | Repair.Unrepairable -> `Unrepairable
-          | Repair.Repaired assignment ->
-            let physical = Repair.apply w.pla assignment ~rows in
-            (* Re-verify the full function through the defects. *)
-            let ok = ref true in
-            for m = 0 to (1 lsl n_in) - 1 do
-              let v = minterm n_in m in
-              let got = defective_outputs ~and_defects ~or_defects physical v in
-              let want = Logic.Cover.eval w.cover v in
-              Array.iteri (fun o g -> if g <> Util.Bitvec.get want o then ok := false) got
-            done;
-            if not !ok then `Failed
-            else begin
-              (* Push the repaired AND plane through the physical
-                 programming network when the array is small enough to
-                 simulate, and check the stored charge pattern. *)
-              let ap = Pla.and_plane physical in
-              if !reprograms < 5 && Plane.rows ap * Plane.cols ap <= 64 then begin
-                incr reprograms;
-                let hw = Program_hw.build ~rows:(Plane.rows ap) ~cols:(Plane.cols ap) () in
-                Program_hw.program_plane hw ap;
-                if Program_hw.verify hw ap then `Repaired else `Failed
-              end
-              else `Repaired
-            end
-        in
-        match healed with
-        | `Repaired -> xpoint_t.repaired <- xpoint_t.repaired + injected
+        let s = now_s () in
+        (match status with
+        | `Repaired assignment ->
+          if reprogram assignment then xpoint_t.repaired <- xpoint_t.repaired + injected
         | `Unrepairable -> xpoint_t.unrepairable <- xpoint_t.unrepairable + injected
-        | `Failed -> ()
-      end
+        | `Reverify_failed -> ());
+        Histogram.observe recovery (rv.rv_wall_s +. (now_s () -. s))
     end
   in
 

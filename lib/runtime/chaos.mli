@@ -89,13 +89,14 @@ val recover :
   or_defects:Fault.Defect.map ->
   Cnfet.Pla.t ->
   recovery_outcome
-(** Detection runs [tests] (normally {!Fault.Atpg.generate} vectors) on
-    the identity-mapped array through the defects; on a miscompare,
-    {!Fault.Repair.repair} searches an assignment over
-    [products + spare_rows] physical rows (the defect maps must have
-    that geometry), and the repaired array is re-verified exhaustively
-    through the defects. The status is deterministic in its arguments;
-    [rv_wall_s] is measurement. *)
+(** Detection looks [tests] (normally {!Fault.Atpg.generate} vectors)
+    up in the {!Fault.Table} of the identity-mapped array through the
+    defects; on a miscompare, {!Fault.Repair.repair} searches an
+    assignment over [products + spare_rows] physical rows (the defect
+    maps must have that geometry), and the repaired array's table
+    through the defects must equal the good table on every minterm. The
+    status is deterministic in its arguments; [rv_wall_s] is
+    measurement. *)
 
 val run :
   ?seed:int ->

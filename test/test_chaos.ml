@@ -305,6 +305,74 @@ let test_chaos_report_heals () =
     (fun needle -> checkb (Printf.sprintf "report has %s" needle) true (contains needle))
     [ "\"degradation\""; "\"detected_unrepaired\""; "\"recovery_latency_s\""; "\"scenarios\"" ]
 
+(* [Chaos.recover] evaluates on bit-sliced tables; its status must match
+   the same detect -> repair -> re-verify flow spelled out per vector on
+   the [Defect.eval_pla] reference, over seeded random defect draws. *)
+let reference_status ~spare_rows ~tests ~and_defects ~or_defects pla =
+  let module D = Fault.Defect in
+  let module Pla = Cnfet.Pla in
+  let truncate m ~rows ~cols =
+    let t = D.perfect ~rows ~cols in
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        D.set t ~row:r ~col:c (D.kind m ~row:r ~col:c)
+      done
+    done;
+    t
+  in
+  let products = Pla.num_products pla in
+  let and_id = truncate and_defects ~rows:products ~cols:(D.cols and_defects) in
+  let or_id = truncate or_defects ~rows:(D.rows or_defects) ~cols:products in
+  let n_in = Pla.num_inputs pla in
+  let space = List.init (1 lsl n_in) (fun m -> Array.init n_in (fun i -> m land (1 lsl i) <> 0)) in
+  if D.defect_count and_defects + D.defect_count or_defects = 0 then `Clean
+  else if
+    not
+      (List.exists
+         (fun v -> D.eval_pla ~and_defects:and_id ~or_defects:or_id pla v <> Pla.eval pla v)
+         tests)
+  then `Undetected
+  else
+    match Fault.Repair.repair ~spare_rows ~and_defects ~or_defects pla with
+    | Fault.Repair.Unrepairable -> `Unrepairable
+    | Fault.Repair.Repaired a ->
+      let physical = Fault.Repair.apply pla a ~rows:(products + spare_rows) in
+      let same v = D.eval_pla ~and_defects ~or_defects physical v = Pla.eval pla v in
+      if List.for_all same space then `Repaired a
+      else `Reverify_failed
+
+let test_recover_matches_reference () =
+  let rng = Util.Rng.create 2008 in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (name, cover) ->
+      let pla = Cnfet.Pla.of_cover cover in
+      let tests, _ = Fault.Atpg.generate pla in
+      List.iter
+        (fun defect_rate ->
+          for _ = 1 to 12 do
+            let spare_rows = Util.Rng.int rng 3 in
+            let and_defects, or_defects =
+              Fault.Yield.draw_maps rng pla ~spare_rows ~defect_rate
+            in
+            let got = (Chaos.recover ~spare_rows ~tests ~and_defects ~or_defects pla).rv_status in
+            let want = reference_status ~spare_rows ~tests ~and_defects ~or_defects pla in
+            let tag = function
+              | `Clean -> "clean"
+              | `Undetected -> "undetected"
+              | `Repaired _ -> "repaired"
+              | `Unrepairable -> "unrepairable"
+              | `Reverify_failed -> "reverify_failed"
+            in
+            Hashtbl.replace seen (tag want) ();
+            checkb (Printf.sprintf "%s at rate %g: %s" name defect_rate (tag want)) true (got = want)
+          done)
+        [ 0.0; 0.02; 0.05; 0.15 ])
+    (List.filter (fun (_, c) -> Logic.Cover.num_inputs c <= 6) Mcnc.Generators.all);
+  List.iter
+    (fun s -> checkb ("status exercised: " ^ s) true (Hashtbl.mem seen s))
+    [ "clean"; "undetected"; "repaired"; "unrepairable" ]
+
 let test_chaos_deterministic_injection () =
   let r1 = Chaos.run ~seed:9 ~budget_s:30. ~max_rounds:1 ~jobs:2 () in
   let r2 = Chaos.run ~seed:9 ~budget_s:30. ~max_rounds:1 ~jobs:2 () in
@@ -350,5 +418,7 @@ let () =
         [
           Alcotest.test_case "chaos report heals" `Quick test_chaos_report_heals;
           Alcotest.test_case "deterministic injection" `Quick test_chaos_deterministic_injection;
+          Alcotest.test_case "recover matches per-vector reference" `Quick
+            test_recover_matches_reference;
         ] );
     ]

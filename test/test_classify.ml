@@ -97,6 +97,25 @@ let test_mapped_bit_identical_all_minterms () =
     (Cnfet.Pla.num_products mapped.Map.pla < Cnfet.Pla.num_products raw.Map.pla);
   checkb "folded area measured" true (mapped.Map.area > 0)
 
+(* The envelope reads labels out of one bit-sliced table per defective
+   array; every entry must equal the per-vector reference. *)
+let test_labels_defective_vs_reference () =
+  let mapped = Map.lower Classify.Pretrained.model in
+  let phys = Map.identity_physical mapped ~spare_rows:2 in
+  let rng = Util.Rng.create 11 in
+  for _ = 1 to 6 do
+    let and_defects, or_defects =
+      Fault.Yield.draw_maps rng mapped.Map.pla ~spare_rows:2 ~defect_rate:0.03
+    in
+    let labels = Map.labels_defective ~and_defects ~or_defects phys in
+    List.iter
+      (fun x ->
+        checki "table label = per-vector label"
+          (Map.classify_defective ~and_defects ~or_defects phys x)
+          labels.(Fault.Table.minterm x))
+      (all_minterms mapped.Map.model.Model.n_features)
+  done
+
 let test_mapping_grid_corners () =
   (* Corners of the supported model space lower and stay bit-identical:
      minimal (1 feature, 2 classes), degenerate all-zero weights, and a
@@ -265,6 +284,17 @@ let test_golden_quick_envelope () =
        exec test/test_classify.exe -- test envelope"
       (String.length json) (String.length golden)
 
+(* The full default grid, pinned to the bytes
+   [cnfet_tool classify --seed 2008 --det-out] wrote for
+   golden/classify_default.json. *)
+let test_golden_default_envelope () =
+  let r = Envelope.run { Envelope.default with jobs = 2 } in
+  let json = Assess.Json.to_string ~indent:2 (Envelope.deterministic_json r) ^ "\n" in
+  let golden = read_file (golden_path "classify_default.json") in
+  if json <> golden then
+    Alcotest.failf "default envelope drifted from golden/classify_default.json (%d vs %d bytes)"
+      (String.length json) (String.length golden)
+
 (* --- the planted mis-mapped weight row ------------------------------------ *)
 
 (* A lowering with the classic mapping mistake: the first two weight rows
@@ -336,6 +366,8 @@ let () =
           Alcotest.test_case "bit-identical on all minterms" `Quick
             test_mapped_bit_identical_all_minterms;
           Alcotest.test_case "grid corners lower and match" `Quick test_mapping_grid_corners;
+          Alcotest.test_case "defective label table vs reference" `Quick
+            test_labels_defective_vs_reference;
         ] );
       ( "faults",
         [
@@ -351,6 +383,7 @@ let () =
             test_envelope_jobs_invariant;
           Alcotest.test_case "checkpoint resume bit-exact" `Quick test_envelope_checkpoint_resume;
           Alcotest.test_case "golden quick envelope" `Quick test_golden_quick_envelope;
+          Alcotest.test_case "golden default envelope" `Quick test_golden_default_envelope;
         ] );
       ( "planted",
         [

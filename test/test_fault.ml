@@ -227,17 +227,8 @@ let test_columns_rescue_unrepairable_rows () =
       (* logical input i rides physical column column_of_input.(i) *)
       let y = Array.make 3 false in
       Array.iteri (fun i c -> y.(c) <- x.(i)) o.Fault.Repair.column_of_input;
-      let products = Fault.Defect.eval_with_defects and_d (Cnfet.Pla.and_plane physical) y in
-      let or_rows =
-        Fault.Defect.eval_with_defects or_d (Cnfet.Pla.or_plane physical) products
-      in
-      let want = Logic.Cover.eval f x in
-      for o' = 0 to 0 do
-        let got =
-          if Cnfet.Pla.output_inverted physical o' then not or_rows.(o') else or_rows.(o')
-        in
-        if got <> Util.Bitvec.get want o' then ok := false
-      done
+      let got = Fault.Defect.eval_pla ~and_defects:and_d ~or_defects:or_d physical y in
+      if got.(0) <> Util.Bitvec.get (Logic.Cover.eval f x) 0 then ok := false
     done;
     checkb "permuted repair functional through defects" true !ok
   | None -> Alcotest.fail "column permutation must rescue this"
@@ -388,6 +379,71 @@ let test_atpg_input_limit () =
   in
   expect_raise (fun () -> Fault.Atpg.generate over);
   expect_raise (fun () -> Fault.Atpg.coverage over [])
+
+(* A 0-input PLA still has one (padded) AND column: every defect-aware
+   evaluator must pad its empty input vector the way [Pla.eval] does. *)
+let test_zero_input_pla () =
+  let outs = Util.Bitvec.create 1 in
+  Util.Bitvec.set outs 0 true;
+  let pla = Pla.of_cover (Cover.make ~n_in:0 ~n_out:1 [ Logic.Cube.of_literals [] ~outs ]) in
+  let tests, undetectable = Fault.Atpg.generate pla in
+  checki "one vector" 1 (List.length tests);
+  checkb "the empty vector" true (List.for_all (fun v -> Array.length v = 0) tests);
+  Alcotest.check (Alcotest.float 1e-9) "full coverage" 1.0 (Fault.Atpg.coverage pla tests);
+  List.iter
+    (fun f -> checkb "detected by the reference" true (Fault.Atpg.detects pla f [||]))
+    (List.filter (fun f -> not (List.mem f undetectable)) (Fault.Atpg.all_faults pla));
+  List.iter
+    (fun f -> checkb "undetectable really is" false (Fault.Atpg.detects pla f [||]))
+    undetectable;
+  let perfect () = Fault.Defect.perfect ~rows:1 ~cols:1 in
+  checkb "Map.eval_defective pads" true
+    (Classify.Map.eval_defective ~and_defects:(perfect ()) ~or_defects:(perfect ()) pla [||]
+    = Pla.eval pla [||]);
+  (* The product's row dies; recovery moves it onto the spare row. *)
+  let and_defects = Fault.Defect.perfect ~rows:2 ~cols:1 in
+  Fault.Defect.set and_defects ~row:0 ~col:0 Fault.Defect.Stuck_closed;
+  let or_defects = Fault.Defect.perfect ~rows:1 ~cols:2 in
+  match (Runtime.Chaos.recover ~spare_rows:1 ~tests ~and_defects ~or_defects pla).rv_status with
+  | `Repaired a -> checki "product on the spare row" 1 a.(0)
+  | _ -> Alcotest.fail "a 0-input PLA with a spare row must be repaired"
+
+let golden_path name =
+  if Sys.file_exists (Filename.concat "golden" name) then Filename.concat "golden" name
+  else Filename.concat "test/golden" name
+
+(* test/golden/atpg.json pins the generated test sets (vectors as minterm
+   indices, in generation order) and undetectable-fault counts for the
+   classifier's PLA and every generator program of at most 8 inputs. *)
+let test_atpg_golden () =
+  let ic = open_in_bin (golden_path "atpg.json") in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let open Assess.Json in
+  let entries =
+    match parse text with
+    | Ok j -> Option.get (Option.bind (member "atpg" j) to_list)
+    | Error _ -> Alcotest.fail "golden/atpg.json does not parse"
+  in
+  let generators = List.filter (fun (_, c) -> Cover.num_inputs c <= 8) Mcnc.Generators.all in
+  let field k e = Option.get (Option.bind (member k e) to_int) in
+  let name e = Option.get (Option.bind (member "name" e) to_str) in
+  Alcotest.(check (list string))
+    "programs" ("classify" :: List.map fst generators) (List.map name entries);
+  List.iter
+    (fun e ->
+      let pla =
+        match name e with
+        | "classify" -> (Classify.Map.lower Classify.Pretrained.model).Classify.Map.pla
+        | n -> Pla.of_cover (List.assoc n generators)
+      in
+      let want =
+        List.map (fun t -> Option.get (to_int t)) (Option.get (Option.bind (member "tests" e) to_list))
+      in
+      let tests, undetectable = Fault.Atpg.generate pla in
+      Alcotest.(check (list int)) (name e ^ " tests") want (List.map Fault.Table.minterm tests);
+      checki (name e ^ " undetectable") (field "undetectable" e) (List.length undetectable))
+    entries
 
 (* --- Yield ------------------------------------------------------------------------ *)
 
@@ -570,6 +626,8 @@ let () =
           Alcotest.test_case "typed input-limit exception" `Quick test_atpg_input_limit;
           Alcotest.test_case "empty tests zero coverage" `Quick
             test_atpg_empty_tests_zero_coverage;
+          Alcotest.test_case "zero-input PLA" `Quick test_zero_input_pla;
+          Alcotest.test_case "golden test sets" `Quick test_atpg_golden;
         ] );
       ( "yield",
         [
