@@ -425,12 +425,12 @@ let trace_wellformed =
 
 (* --- bit-sliced runtime eval -------------------------------------------- *)
 
-(* Covers straddling the 62/63-column Masked/Indexed boundary, and batch
-   sizes straddling the 63-lane block size: the blocked evaluator (full
-   blocks through [eval_block], ragged tail through scalar [eval], the
-   same split [Batch.eval_batch] uses) must be bit-identical to
-   [Pla.eval] on every vector. A partial block evaluated directly
-   (lanes < 63) is checked too. *)
+(* Covers straddling a word's bit count in input columns, and batch
+   sizes straddling the 63-lane block size: the blocked evaluator (the
+   batch cut into [ceil (n / 63)] blocks, the last one partial, the same
+   split [Batch.eval_batch] uses) must be bit-identical to [Pla.eval] on
+   every vector. A partial block evaluated directly at every lane count
+   is checked too. *)
 let bitslice_widths = [ 2; 5; 9; 30; 61; 62; 63; 64; 80 ]
 
 let runtime_bitslice_vs_scalar =
@@ -448,37 +448,31 @@ let runtime_bitslice_vs_scalar =
       let compiled = Runtime.Cache.compile (Runtime.Cache.create ~capacity:2 ()) f in
       let scalar = Array.map (Cnfet.Pla.eval pla) vecs in
       let lanes_max = Runtime.Cache.lanes_per_word in
-      let blocked_matches n =
-        let n_blocks = n / lanes_max in
-        let ok = ref true in
-        for b = 0 to n_blocks - 1 do
-          let block = Runtime.Cache.transpose vecs ~first:(b * lanes_max) ~lanes:lanes_max in
-          let outs =
-            Runtime.Cache.untranspose (Runtime.Cache.eval_block compiled block)
-              ~lanes:lanes_max
-          in
-          for v = 0 to lanes_max - 1 do
-            if outs.(v) <> scalar.((b * lanes_max) + v) then ok := false
-          done
-        done;
-        for i = n_blocks * lanes_max to n - 1 do
-          if Runtime.Cache.eval compiled vecs.(i) <> scalar.(i) then ok := false
-        done;
-        !ok
-      in
-      let partial_block_matches lanes =
-        let block = Runtime.Cache.transpose vecs ~first:0 ~lanes in
+      let block_matches ~first ~lanes =
+        let block = Runtime.Cache.transpose vecs ~first ~lanes in
         let outs =
           Runtime.Cache.untranspose (Runtime.Cache.eval_block compiled block) ~lanes
         in
         let ok = ref true in
         for v = 0 to lanes - 1 do
-          if outs.(v) <> scalar.(v) then ok := false
+          if outs.(v) <> scalar.(first + v) then ok := false
+        done;
+        !ok
+      in
+      let blocked_matches n =
+        let ok = ref true in
+        let first = ref 0 in
+        while !first < n do
+          let lanes = min lanes_max (n - !first) in
+          if not (block_matches ~first:!first ~lanes) then ok := false;
+          first := !first + lanes
         done;
         !ok
       in
       List.for_all blocked_matches [ 1; 62; 63; 64; 126; 127 ]
-      && List.for_all partial_block_matches [ 1; 17; 62 ])
+      && List.for_all
+           (fun lanes -> block_matches ~first:0 ~lanes)
+           (List.init lanes_max succ))
 
 (* --- serve wire codec --------------------------------------------------- *)
 

@@ -97,67 +97,50 @@ let sweep_pla ?chunk ?metrics pool pla =
 
 (* --- blocked (bit-sliced) fan-out ---------------------------------------- *)
 
-(* One pool item per 63-vector block: transpose a contiguous slice of the
-   batch into lane words, sweep the compiled planes once for all 63
-   vectors, untranspose at fan-in. [map] already writes results back by
-   block index, so the merged output is bit-identical to scalar order;
-   the ragged tail (batch size mod 63) runs through the scalar
-   evaluator. *)
+let n_blocks n = (n + Cache.lanes_per_word - 1) / Cache.lanes_per_word
+
+(* A batch of [n] vectors is [ceil (n / 63)] blocks, the last one
+   partial. More than one block fans out, one pool item per block, and
+   [map] writes results back by block index; a single block is cheaper
+   inline than the pool round-trip. *)
+let map_blocks ?chunk ?metrics pool n f =
+  let block b =
+    let first = b * Cache.lanes_per_word in
+    f ~first ~lanes:(min Cache.lanes_per_word (n - first))
+  in
+  let blocks = Array.init (n_blocks n) Fun.id in
+  if Array.length blocks > 1 then map ?chunk ?metrics pool block blocks
+  else Array.map block blocks
+
+(* Transpose each block into lane words, sweep the compiled planes once
+   for the whole block, untranspose at fan-in. *)
+let eval_blocks ?chunk ?metrics pool compiled n block_words =
+  map_blocks ?chunk ?metrics pool n (fun ~first ~lanes ->
+      let words = block_words ~first ~lanes in
+      Cache.untranspose (Cache.eval_block compiled { Cache.words; lanes }) ~lanes)
+  |> Array.to_list |> Array.concat
+
 let eval_batch ?chunk ?metrics pool compiled vectors =
-  let lanes = Cache.lanes_per_word in
   let n = Array.length vectors in
-  let n_blocks = n / lanes in
   Obs.Span.with_
-    ~args:[ ("vectors", string_of_int n); ("blocks", string_of_int n_blocks) ]
+    ~args:[ ("vectors", string_of_int n); ("blocks", string_of_int (n_blocks n)) ]
     "batch.eval_batch"
   @@ fun () ->
-  let results = Array.make n [||] in
-  if n_blocks > 0 then begin
-    let per_block =
-      map ?chunk ?metrics pool
-        (fun b ->
-          let block = Cache.transpose vectors ~first:(b * lanes) ~lanes in
-          Cache.untranspose (Cache.eval_block compiled block) ~lanes)
-        (Array.init n_blocks Fun.id)
-    in
-    Array.iteri (fun b outs -> Array.blit outs 0 results (b * lanes) lanes) per_block
-  end;
-  for i = n_blocks * lanes to n - 1 do
-    results.(i) <- Cache.eval compiled vectors.(i)
-  done;
-  results
+  eval_blocks ?chunk ?metrics pool compiled n (fun ~first ~lanes ->
+      (Cache.transpose vectors ~first ~lanes).Cache.words)
 
 let sweep_compiled ?chunk ?metrics pool compiled =
   let n_in = Pla.num_inputs (Cache.pla compiled) in
   if n_in < 0 || n_in > 24 then invalid_arg "Batch.sweep_compiled: n_in must be in 0..24";
-  let lanes = Cache.lanes_per_word in
-  let total = 1 lsl n_in in
-  let n_blocks = total / lanes in
-  let results = Array.make total [||] in
-  if n_blocks > 0 then begin
-    let per_block =
-      map ?chunk ?metrics pool
-        (fun b ->
-          (* Pack minterms [first .. first+62] directly: lane v of input
-             column c is bit c of minterm (first + v). *)
-          let first = b * lanes in
-          let words =
-            Array.init n_in (fun c ->
-                let w = ref 0 in
-                for v = 0 to lanes - 1 do
-                  if (first + v) land (1 lsl c) <> 0 then w := !w lor (1 lsl v)
-                done;
-                !w)
-          in
-          Cache.untranspose (Cache.eval_block compiled { Cache.words; lanes }) ~lanes)
-        (Array.init n_blocks Fun.id)
-    in
-    Array.iteri (fun b outs -> Array.blit outs 0 results (b * lanes) lanes) per_block
-  end;
-  for m = n_blocks * lanes to total - 1 do
-    results.(m) <- Cache.eval compiled (minterm n_in m)
-  done;
-  results
+  (* Pack minterms [first .. first+lanes-1] directly: lane v of input
+     column c is bit c of minterm (first + v). *)
+  eval_blocks ?chunk ?metrics pool compiled (1 lsl n_in) (fun ~first ~lanes ->
+      Array.init n_in (fun c ->
+          let w = ref 0 in
+          for v = 0 to lanes - 1 do
+            if (first + v) land (1 lsl c) <> 0 then w := !w lor (1 lsl v)
+          done;
+          !w))
 
 let sweep_pla_hw ?chunk ?metrics pool pla =
   let hw = Pla.build_hw pla in

@@ -4,12 +4,12 @@
     pure functions of the programmed content — the cube list plus the
     output-polarity configuration — so they are memoised under an MD5
     digest of exactly that content. Each entry holds the mapped
-    {!Cnfet.Pla.t}, a compiled scalar evaluator (per-row masks that skip
-    [Drop] crosspoints; bit-identical to [Pla.eval]), a bit-sliced
-    transposed evaluator ({!eval_block}: 63 input vectors per native
-    int) and the lazily-built switch-level netlist. Eviction is LRU at a
-    fixed capacity, tracked by an intrusive doubly-linked list (touch
-    and evict are O(1)). Thread-safe. *)
+    {!Cnfet.Pla.t}, one compiled bit-sliced evaluator (per-row column
+    lists that skip [Drop] crosspoints, driven 63 input vectors per
+    native int; {!eval} is its one-lane case; bit-identical to
+    [Pla.eval]) and the lazily-built switch-level netlist. Eviction is
+    LRU at a fixed capacity, tracked by an intrusive doubly-linked list
+    (touch and evict are O(1)). Thread-safe. *)
 
 type t
 
@@ -47,8 +47,9 @@ val compile_hit : t -> ?inverted_outputs:bool array -> Logic.Cover.t -> compiled
     concurrent lookups on the same cache. *)
 
 val compile_of_pla : t -> Cnfet.Pla.t -> compiled
-(** Same, keyed on an already-mapped PLA's plane contents (used for
-    repaired / hand-built PLAs that have no source cover). *)
+(** Same, keyed on an already-mapped PLA's input count and plane
+    contents (used for repaired / hand-built PLAs that have no source
+    cover). *)
 
 val compile_of_pla_hit : t -> Cnfet.Pla.t -> compiled * bool
 (** {!compile_of_pla} with the same per-call hit flag as
@@ -57,10 +58,12 @@ val compile_of_pla_hit : t -> Cnfet.Pla.t -> compiled * bool
 val pla : compiled -> Cnfet.Pla.t
 
 val eval : compiled -> bool array -> bool array
-(** Compiled functional evaluation; bit-identical to [Pla.eval] on the
-    underlying PLA. Allocation-light: plane scratch buffers are reused
-    across calls on the same compiled entry (claimed atomically, so
-    concurrent evaluators on other domains stay correct). *)
+(** Compiled functional evaluation of one vector: {!eval_block} on a
+    one-lane block. Bit-identical to [Pla.eval] on the underlying PLA.
+    Batches should go through {!eval_block} (or {!Batch.eval_batch}),
+    which pays the plane sweep once per 63 vectors.
+    @raise Invalid_argument if the vector's width differs from the
+    compiled PLA's input count. *)
 
 val hw : compiled -> Cnfet.Pla.hw
 (** The switch-level realization, built on first use and memoised. *)
@@ -93,11 +96,11 @@ val untranspose : int array -> lanes:int -> bool array array
     the vectors one by one. *)
 
 val eval_block : compiled -> block -> int array
-(** Evaluate 63-at-a-time: returns one word per output, lane [v] of
-    word [o] being output [o] of vector [v] — bit-identical to {!eval}
-    on each lane. Covers with more than 62 input columns (the scalar
-    [Indexed] fallback) run on the same sliced lanes. Bits at and above
-    [block.lanes] are zero in the result.
+(** Evaluate up to 63 vectors at once: returns one word per output,
+    lane [v] of word [o] being output [o] of vector [v] — bit-identical
+    to [Pla.eval] on each lane, for any input count and any lane count
+    from 0 to 63 (a partial block costs the same plane sweep as a full
+    one). Bits at and above [block.lanes] are zero in the result.
     @raise Invalid_argument if [Array.length block.words] differs from
     the compiled PLA's input count or [block.lanes] is out of range. *)
 
@@ -115,15 +118,12 @@ val corruptions : t -> int
 val size : t -> int
 
 val corrupt_for_test : compiled -> unit
-(** Deterministically rot a compiled entry in place (flips the first
-    output's polarity) {e without} updating its stored checksum — the
-    next serve of that entry must raise {!Corrupt_entry}. Chaos/test
-    hook; never call it in production paths. *)
-
-val corrupt_block_for_test : compiled -> unit
-(** Like {!corrupt_for_test} but rots only the bit-sliced arrays,
-    leaving the scalar rows intact — proves the integrity checksum
-    covers the transposed form too. *)
+(** Deterministically rot a compiled entry in place {e without}
+    updating its stored checksum — the next serve of that entry must
+    raise {!Corrupt_entry}. Swaps pass and invert on the first row with
+    a crosspoint; only a PLA without any crosspoint flips output 0's
+    polarity instead. The same rot {!Fault.Inject}'s [Cache_store] tap
+    plants. Chaos/test hook; never call it in production paths. *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)

@@ -152,49 +152,35 @@ let parse_program program =
     raise (Reject (Wire.Parse_failed, Printf.sprintf "line %d: %s" line msg))
   | exception e -> raise (Reject (Wire.Parse_failed, Printexc.to_string e))
 
-(* Big batches go to the domain pool; tiny ones are cheaper inline than
-   the future round-trip. *)
-let parallel_threshold = 64
-
 type reply =
   | Stream of { outputs : Wire.matrix; cache_hit : bool; eval_ns : int64 }
   | One of Wire.message
 
-(* The compiled fast path: full 63-vector blocks gather straight from
-   the request matrix's packed bytes ([Wire.matrix_block]) into the
-   bit-sliced evaluator — no bool-array round-trip — with one pool item
-   per block when the batch is big enough, then the ragged tail runs
-   scalar. The reply matrix is assembled from the lane words directly. *)
+(* The batch is cut into [ceil (n / 63)] blocks, the last one partial
+   ([Runtime.Batch.map_blocks], which uses the pool when there is more
+   than one block). Each block gathers straight from the request
+   matrix's packed bytes ([Wire.matrix_block]) into the bit-sliced
+   evaluator — no bool-array round-trip — and the reply matrix is
+   assembled from the lane words directly. The uncompiled fallback
+   evaluates the same blocks vector by vector. *)
 let eval_engine t engine batch =
   let n = Wire.matrix_rows batch in
+  let map_blocks f = Runtime.Batch.map_blocks ?metrics:t.metrics t.pool n f in
   match engine with
   | Compiled compiled ->
-    let lanes = Cache.lanes_per_word in
-    let n_blocks = n / lanes in
-    let n_full = n_blocks * lanes in
-    let eval_block b =
-      Cache.eval_block compiled
-        { Cache.words = Wire.matrix_block batch ~first:(b * lanes) ~lanes; lanes }
-    in
     let block_words =
-      if n >= parallel_threshold && n_blocks > 0 then
-        Runtime.Batch.map ?metrics:t.metrics t.pool eval_block (Array.init n_blocks Fun.id)
-      else Array.init n_blocks eval_block
+      map_blocks (fun ~first ~lanes ->
+          Cache.eval_block compiled { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes })
     in
-    let tail =
-      Array.init (n - n_full) (fun i ->
-          Cache.eval compiled (Wire.matrix_row batch (n_full + i)))
-    in
-    let n_out = Cnfet.Pla.num_outputs (Cache.pla compiled) in
-    Wire.matrix_init ~rows:n ~width:n_out (fun r o ->
-        if r < n_full then block_words.(r / lanes).(o) land (1 lsl (r mod lanes)) <> 0
-        else tail.(r - n_full).(o))
+    let lanes_per_word = Cache.lanes_per_word in
+    Wire.matrix_init ~rows:n
+      ~width:(Cnfet.Pla.num_outputs (Cache.pla compiled))
+      (fun r o -> block_words.(r / lanes_per_word).(o) land (1 lsl (r mod lanes_per_word)) <> 0)
   | Uncompiled pla ->
-    let eval_row i = Cnfet.Pla.eval pla (Wire.matrix_row batch i) in
     let rows =
-      if n >= parallel_threshold then
-        Runtime.Batch.map ?metrics:t.metrics t.pool eval_row (Array.init n Fun.id)
-      else Array.init n eval_row
+      map_blocks (fun ~first ~lanes ->
+          Array.init lanes (fun v -> Cnfet.Pla.eval pla (Wire.matrix_row batch (first + v))))
+      |> Array.to_list |> Array.concat
     in
     Wire.matrix_init ~rows:n ~width:(Cnfet.Pla.num_outputs pla) (fun r o -> rows.(r).(o))
 

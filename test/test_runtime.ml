@@ -85,6 +85,9 @@ let test_yield_estimate_deterministic () =
 let cmp2 = Mcnc.Generators.comparator ~bits:1
 let dec2 = Mcnc.Generators.decoder ~bits:2
 
+(* The constant-1 single-output cover over [n_in] inputs. *)
+let universe n_in = Cover.make ~n_in ~n_out:1 [ Logic.Cube.universe ~n_in ~n_out:1 ]
+
 let test_cache_hit_miss () =
   let cache = Cache.create () in
   checkf "empty hit rate" 0.0 (Cache.hit_rate cache);
@@ -185,7 +188,15 @@ let test_compile_of_pla_hit_status () =
   let _, hit2 = Cache.compile_of_pla_hit cache (Pla.of_cover cmp2) in
   checkb "same plane content hits" true hit2;
   let _, hit3 = Cache.compile_of_pla_hit cache (Pla.of_cover dec2) in
-  checkb "different plane content misses" false hit3
+  checkb "different plane content misses" false hit3;
+  (* A 0-input PLA is padded to one all-Drop AND column, the same plane
+     content as a 1-input PLA whose only column is all-Drop: the input
+     count keeps them apart. *)
+  let _, hit_p0 = Cache.compile_of_pla_hit cache (Pla.of_cover (universe 0)) in
+  checkb "0-input PLA misses" false hit_p0;
+  let e1, hit_p1 = Cache.compile_of_pla_hit cache (Pla.of_cover (universe 1)) in
+  checkb "1-input all-Drop PLA misses" false hit_p1;
+  checkb "1-input entry evaluates" true (Cache.eval e1 [| true |] = [| true |])
 
 (* --- Bit-sliced (transposed) evaluation ------------------------------------ *)
 
@@ -220,12 +231,30 @@ let test_transpose_rejects_bad_input () =
   | _ -> Alcotest.fail "expected Invalid_argument on out-of-range slice"
   | exception Invalid_argument _ -> ()
 
+(* A single-output cover with [cubes] random cubes over [n_in] inputs. *)
+let random_cover rng ~n_in ~cubes =
+  let outs = Util.Bitvec.create 1 in
+  Util.Bitvec.set outs 0 true;
+  Cover.make ~n_in ~n_out:1
+    (List.init cubes (fun _ ->
+         Logic.Cube.of_literals
+           (List.init n_in (fun _ ->
+                match Util.Rng.int rng 4 with
+                | 0 -> Logic.Cube.Zero
+                | 1 -> Logic.Cube.One
+                | _ -> Logic.Cube.Dc))
+           ~outs))
+
+(* Every lane count of a block, from one vector to a full word. *)
+let all_lane_counts = List.init Cache.lanes_per_word succ
+
 let test_eval_block_matches_scalar () =
   let rng = Util.Rng.create 33 in
   let cache = Cache.create () in
   List.iter
     (fun cover ->
       let compiled = Cache.compile cache cover in
+      let pla = Pla.of_cover cover in
       let width = Cover.num_inputs cover in
       List.iter
         (fun lanes ->
@@ -233,24 +262,33 @@ let test_eval_block_matches_scalar () =
           let block = Cache.transpose vecs ~first:0 ~lanes in
           let words = Cache.eval_block compiled block in
           let got = Cache.untranspose words ~lanes in
-          let want = Array.map (Cache.eval compiled) vecs in
+          let want = Array.map (Pla.eval pla) vecs in
           Alcotest.check truth
-            (Printf.sprintf "eval_block = eval (%d lanes)" lanes)
+            (Printf.sprintf "eval_block = Pla.eval (%d inputs, %d lanes)" width lanes)
             want got)
-        [ 1; 17; 62; 63 ])
-    [ cmp2; Mcnc.Generators.majority 5; Mcnc.Generators.decoder ~bits:3 ]
+        all_lane_counts)
+    [
+      cmp2;
+      Mcnc.Generators.majority 5;
+      Mcnc.Generators.decoder ~bits:3;
+      (* 0 inputs: the AND plane is padded to one constant-0 column. *)
+      universe 0;
+      (* More input columns than a word has bits. *)
+      random_cover rng ~n_in:80 ~cubes:6;
+    ]
 
 let test_eval_batch_ragged_tail () =
   let rng = Util.Rng.create 55 in
   let cache = Cache.create () in
   let cover = Mcnc.Generators.adder ~bits:2 in
   let compiled = Cache.compile cache cover in
+  let pla = Pla.of_cover cover in
   let width = Cover.num_inputs cover in
   Pool.with_pool ~jobs:3 (fun pool ->
       List.iter
         (fun n ->
           let vecs = random_vectors rng ~n ~width in
-          let want = Array.map (Cache.eval compiled) vecs in
+          let want = Array.map (Pla.eval pla) vecs in
           Alcotest.check truth
             (Printf.sprintf "eval_batch n=%d" n)
             want
@@ -260,7 +298,7 @@ let test_eval_batch_ragged_tail () =
             (Printf.sprintf "eval_batch chunk=1 n=%d" n)
             want
             (Batch.eval_batch ~chunk:1 pool compiled vecs))
-        [ 0; 1; 62; 63; 64; 127 ])
+        (0 :: all_lane_counts @ [ 64; 125; 126; 127 ]))
 
 let test_sweep_compiled_blocked_matches_pla () =
   let cache = Cache.create () in
@@ -274,17 +312,16 @@ let test_sweep_compiled_blocked_matches_pla () =
             (Batch.sweep_compiled pool compiled);
           Alcotest.check truth "blocked chunk=1 = sequential" reference
             (Batch.sweep_compiled ~chunk:1 pool compiled)))
-    (* 5 inputs: scalar-tail only (32 < 63). 7 inputs: two full blocks
-       plus a ragged tail (128 = 2*63 + 2). *)
+    (* 5 inputs: one partial block (32 < 63). 7 inputs: two full blocks
+       plus a partial one (128 = 2*63 + 2). *)
     [ Mcnc.Generators.majority 5; Mcnc.Generators.xor_n 7 ]
 
 let test_block_corruption_detected () =
-  (* Rotting only the bit-sliced arrays must trip the checksum: proves
-     the integrity check covers the transposed form, not just the
-     scalar rows. *)
+  (* Rotting the compiled rows in place must trip the checksum on the
+     next serve. *)
   let cache = Cache.create () in
   let compiled = Cache.compile cache cmp2 in
-  Cache.corrupt_block_for_test compiled;
+  Cache.corrupt_for_test compiled;
   (match Cache.compile cache cmp2 with
   | _ -> Alcotest.fail "expected Corrupt_entry"
   | exception Cache.Corrupt_entry _ -> ());
