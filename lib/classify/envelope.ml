@@ -204,40 +204,87 @@ let checkpoint_meta config (m : Model.t) =
 (* ------------------------------------------------------------------ *)
 (* The per-point computation *)
 
-(* Defect cells are keyed (trial, linear cell) at the config seed: a
-   cell fires iff its own uniform is under the rate, so defect sets are
-   nested across rates and the stuck kind is stable per cell. *)
-let trial_span = 1_000_000
-
-let draw_trial_maps engine ~trial ~rows ~and_cols ~n_out =
-  let ctr = ref (trial * trial_span) in
-  let draw m ~row ~col =
-    incr ctr;
-    match Inject.crosspoint_fault_of engine ~index:!ctr with
-    | Defect.Good -> ()
-    | k -> Defect.set m ~row ~col k
-  in
-  let and_defects = Defect.perfect ~rows ~cols:and_cols in
-  for r = 0 to rows - 1 do
-    for c = 0 to and_cols - 1 do
-      draw and_defects ~row:r ~col:c
-    done
-  done;
-  let or_defects = Defect.perfect ~rows:n_out ~cols:rows in
-  for r = 0 to n_out - 1 do
-    for c = 0 to rows - 1 do
-      draw or_defects ~row:r ~col:c
-    done
-  done;
-  (and_defects, or_defects)
-
-(* [samples] is the evaluation population, drawn once per run, and
-   [sample_minterms] each sample's feature vector as a minterm index. *)
-let point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~samples ~sample_minterms
-    ~index =
-  let rate, sigma = grid config index in
-  let m = mapped.Map.model in
+(* The fault side of one rate row: defect maps taken from [draws] at
+   [rate], accuracy through them before and after [Chaos.recover]. It
+   never reads σ, so the row computes it once; the result is a point
+   template whose index, σ and analog accuracy each σ point fills in. *)
+let fault_pass config ~mapped ~tests ~phys_identity ~acc_clean ~samples ~sample_minterms ~draws
+    ~rate =
   let nsamples = config.samples in
+  let rows = Pla.num_products mapped.Map.pla + config.spare_rows in
+  let accuracy_through ~and_defects ~or_defects phys =
+    let labels = Map.labels_defective ~and_defects ~or_defects phys in
+    let correct = ref 0 in
+    Array.iteri
+      (fun s (_, label) -> if labels.(sample_minterms.(s)) = label then incr correct)
+      samples;
+    float_of_int !correct /. float_of_int nsamples
+  in
+  let injected = ref 0 in
+  let detected = ref 0 in
+  let repaired = ref 0 in
+  let unrepairable = ref 0 in
+  let undetected = ref 0 in
+  let reverify_failed = ref 0 in
+  let recovery = ref [] in
+  let pre_sum = ref 0.0 and post_sum = ref 0.0 in
+  for trial = 0 to config.trials - 1 do
+    let and_defects, or_defects = Fault.Trial_maps.at_rate draws ~trial ~rate in
+    injected := !injected + Defect.defect_count and_defects + Defect.defect_count or_defects;
+    let pre = accuracy_through ~and_defects ~or_defects phys_identity in
+    pre_sum := !pre_sum +. pre;
+    let rv =
+      Runtime.Chaos.recover ~spare_rows:config.spare_rows ~tests ~and_defects ~or_defects
+        mapped.Map.pla
+    in
+    recovery := rv.Runtime.Chaos.rv_wall_s :: !recovery;
+    let post =
+      match rv.Runtime.Chaos.rv_status with
+      | `Repaired assignment ->
+          incr detected;
+          incr repaired;
+          let phys = Repair.apply mapped.Map.pla assignment ~rows in
+          accuracy_through ~and_defects ~or_defects phys
+      | `Unrepairable ->
+          incr detected;
+          incr unrepairable;
+          pre
+      | `Reverify_failed ->
+          incr detected;
+          incr reverify_failed;
+          pre
+      | `Undetected ->
+          incr undetected;
+          pre
+      | `Clean -> pre
+    in
+    post_sum := !post_sum +. post
+  done;
+  let trial_mean s = if config.trials = 0 then acc_clean else s /. float_of_int config.trials in
+  {
+    pt_index = -1;
+    pt_rate = rate;
+    pt_sigma = Float.nan;
+    pt_acc_clean = acc_clean;
+    pt_acc_analog = Float.nan;
+    pt_acc_pre = trial_mean !pre_sum;
+    pt_acc_post = trial_mean !post_sum;
+    pt_trials = config.trials;
+    pt_injected = !injected;
+    pt_detected = !detected;
+    pt_repaired = !repaired;
+    pt_unrepairable = !unrepairable;
+    pt_undetected = !undetected;
+    pt_reverify_failed = !reverify_failed;
+    pt_recovery_s = List.rev !recovery;
+  }
+
+(* [samples] is the evaluation population and [offsets] its read
+   offsets, both drawn once per run; [row_faults] hands out the point's
+   rate row result, computed by the first point of the row to ask. *)
+let point_pipeline config ~m ~samples ~offsets ~row_faults ~index =
+  let rate_i = index / List.length config.sigmas in
+  let _, sigma = grid config index in
   let open Sweep.Stage in
   stage "classify.analog" (fun () ->
       (* The analog path: D2D σ + read noise + ADC on the reference MAC.
@@ -252,91 +299,16 @@ let point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~samples ~sam
             adc_bits = config.adc_bits;
           }
       in
+      let factors = Model.weight_factors engine m in
+      let clamp = Inject.adc_clamp_of engine in
       let correct = ref 0 in
       Array.iteri
-        (fun s (x, label) -> if Model.predict_dev ~engine m ~sample:s x = label then incr correct)
+        (fun s (x, label) ->
+          if Model.predict_drawn m ~factors ~offsets ~clamp ~sample:s x = label then incr correct)
         samples;
-      float_of_int !correct /. float_of_int nsamples)
+      float_of_int !correct /. float_of_int config.samples)
   >>> stage "classify.faults" (fun acc_analog ->
-          let engine =
-            Inject.make ~seed:config.seed
-              { Inject.nothing with crosspoint_flip = rate }
-          in
-          let products = Pla.num_products mapped.Map.pla in
-          let rows = products + config.spare_rows in
-          let and_cols = Cnfet.Plane.cols (Pla.and_plane mapped.Map.pla) in
-          let n_out = Cnfet.Plane.rows (Pla.or_plane mapped.Map.pla) in
-          let accuracy_through ~and_defects ~or_defects phys =
-            let labels = Map.labels_defective ~and_defects ~or_defects phys in
-            let correct = ref 0 in
-            Array.iteri
-              (fun s (_, label) -> if labels.(sample_minterms.(s)) = label then incr correct)
-              samples;
-            float_of_int !correct /. float_of_int nsamples
-          in
-          let injected = ref 0 in
-          let detected = ref 0 in
-          let repaired = ref 0 in
-          let unrepairable = ref 0 in
-          let undetected = ref 0 in
-          let reverify_failed = ref 0 in
-          let recovery = ref [] in
-          let pre_sum = ref 0.0 and post_sum = ref 0.0 in
-          for trial = 0 to config.trials - 1 do
-            let and_defects, or_defects =
-              draw_trial_maps engine ~trial ~rows ~and_cols ~n_out
-            in
-            injected :=
-              !injected + Defect.defect_count and_defects + Defect.defect_count or_defects;
-            let pre = accuracy_through ~and_defects ~or_defects phys_identity in
-            pre_sum := !pre_sum +. pre;
-            let rv =
-              Runtime.Chaos.recover ~spare_rows:config.spare_rows ~tests ~and_defects
-                ~or_defects mapped.Map.pla
-            in
-            recovery := rv.Runtime.Chaos.rv_wall_s :: !recovery;
-            let post =
-              match rv.Runtime.Chaos.rv_status with
-              | `Repaired assignment ->
-                  incr detected;
-                  incr repaired;
-                  let phys = Repair.apply mapped.Map.pla assignment ~rows in
-                  accuracy_through ~and_defects ~or_defects phys
-              | `Unrepairable ->
-                  incr detected;
-                  incr unrepairable;
-                  pre
-              | `Reverify_failed ->
-                  incr detected;
-                  incr reverify_failed;
-                  pre
-              | `Undetected ->
-                  incr undetected;
-                  pre
-              | `Clean -> pre
-            in
-            post_sum := !post_sum +. post
-          done;
-          let trial_mean s =
-            if config.trials = 0 then acc_clean else s /. float_of_int config.trials
-          in
-          {
-            pt_index = index;
-            pt_rate = rate;
-            pt_sigma = sigma;
-            pt_acc_clean = acc_clean;
-            pt_acc_analog = acc_analog;
-            pt_acc_pre = trial_mean !pre_sum;
-            pt_acc_post = trial_mean !post_sum;
-            pt_trials = config.trials;
-            pt_injected = !injected;
-            pt_detected = !detected;
-            pt_repaired = !repaired;
-            pt_unrepairable = !unrepairable;
-            pt_undetected = !undetected;
-            pt_reverify_failed = !reverify_failed;
-            pt_recovery_s = List.rev !recovery;
-          })
+          { (row_faults rate_i) with pt_index = index; pt_sigma = sigma; pt_acc_analog = acc_analog })
 
 (* ------------------------------------------------------------------ *)
 (* The sharded run *)
@@ -379,12 +351,45 @@ let run ?metrics ?(model = Pretrained.model) config =
       if pred = label then incr clean_correct)
     samples;
   let acc_clean = float_of_int !clean_correct /. float_of_int config.samples in
+  (* Draws that no grid knob changes, made once: the read offsets of
+     every (sample, class) and every (trial, cell) crosspoint decision. *)
+  let offsets =
+    Model.read_offsets
+      (Inject.make ~seed:config.seed
+         { Inject.nothing with read_noise_lsb = config.read_noise_lsb })
+      model ~samples:config.samples
+  in
+  let draws =
+    Fault.Trial_maps.draw (Inject.make ~seed:config.seed Inject.nothing) ~trials:config.trials
+      ~rows:(Pla.num_products mapped.Map.pla + config.spare_rows)
+      ~and_cols:(Cnfet.Plane.cols (Pla.and_plane mapped.Map.pla))
+      ~n_out:(Cnfet.Plane.rows (Pla.or_plane mapped.Map.pla))
+      ~max_rate:(List.fold_left Float.max 0.0 config.rates)
+  in
+  (* One compute-once cell per rate row. The lock is held while the row
+     computes, so its σ siblings wait rather than repeat the work; a
+     raising pass leaves the cell empty and the next sibling retries. *)
+  let row_cells =
+    Array.of_list (List.map (fun rate -> (rate, Mutex.create (), ref None)) config.rates)
+  in
+  let row_faults rate_i =
+    let rate, lock, cell = row_cells.(rate_i) in
+    Mutex.protect lock (fun () ->
+        match !cell with
+        | Some pt -> pt
+        | None ->
+            let pt =
+              fault_pass config ~mapped ~tests ~phys_identity ~acc_clean ~samples
+                ~sample_minterms ~draws ~rate
+            in
+            cell := Some pt;
+            pt)
+  in
   let total = List.length config.rates * List.length config.sigmas in
   let task i =
     match
       Sweep.Stage.exec ?metrics
-        (point_pipeline config ~mapped ~tests ~phys_identity ~acc_clean ~samples
-           ~sample_minterms ~index:i)
+        (point_pipeline config ~m:model ~samples ~offsets ~row_faults ~index:i)
         ()
     with
     | Ok pt -> Ok pt

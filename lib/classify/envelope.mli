@@ -16,15 +16,19 @@
        cell fails iff its uniform is below the rate, so defect sets are
        {e nested} across rates and accuracy degrades monotonically.}}
 
-    Per point, the crossbar path measures accuracy through the drawn
+    Per rate row, the crossbar path measures accuracy through the drawn
     defects on the identity-programmed array (pre), hands the array to
     {!Runtime.Chaos.recover} (ATPG detect → spare-row repair →
     re-verify, wall-clock timed), and measures again on the repaired
-    physical array (post). The analog path measures the reference
-    evaluator under D2D/read-noise/ADC corruption
-    ({!Model.predict_dev}). Accuracies and counts are deterministic;
-    recovery latencies are measurement and excluded from the
-    deterministic view. *)
+    physical array (post). That pass never reads σ, so the row computes
+    it once: the first of its points to ask does the work under the
+    row's lock, and its σ siblings wait and reuse the result, recovery
+    latencies included. Per point, the analog path measures the
+    reference evaluator under D2D/read-noise/ADC corruption, with every
+    cell factor and read offset drawn once ({!Model.predict_drawn},
+    equal to {!Model.predict_dev}). Accuracies and counts are
+    deterministic; recovery latencies are measurement and excluded from
+    the deterministic view. *)
 
 type config = {
   seed : int;
@@ -97,8 +101,11 @@ val point_of_json : Assess.Json.t -> point option
 
 val run : ?metrics:Runtime.Metrics.t -> ?model:Model.t -> config -> report
 (** Lower [model] (default {!Pretrained.model}), measure the clean
-    population once, then shard the grid. Raises [Invalid_argument] on
-    an empty grid, out-of-range knobs, or a model too wide to lower. *)
+    population once, draw the read offsets and every (trial, cell)
+    crosspoint decision once, then shard the grid. Raises
+    [Invalid_argument] on an empty grid, out-of-range knobs, a model
+    too wide to lower, or an array with {!Fault.Trial_maps.trial_span}
+    or more crosspoints. *)
 
 val deterministic_json : report -> Assess.Json.t
 (** The identity view: everything except recovery latencies and wall

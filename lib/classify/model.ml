@@ -121,3 +121,30 @@ let predict_dev ?engine m ~sample x =
           adc_clamp read)
     in
     argmax dev_scores
+
+(* The hoisted analog path: the same draws as [predict_dev], each made
+   once. A weight cell's factor depends on (seed, σ, cell) and a read's
+   offset on (seed, LSB, read), never on the sample's features, so a run
+   draws the factor matrix once per σ and the offsets once for all
+   samples. The MAC below keeps [predict_dev]'s float summation order. *)
+let weight_factors engine m =
+  Array.init m.n_classes (fun c ->
+      Array.init (m.n_features + 1) (fun f ->
+          Fault.Inject.weight_factor_of engine ~index:(weight_cell_index m ~class_:c ~feature:f)))
+
+let read_offsets engine m ~samples =
+  Array.init (samples * m.n_classes) (fun index -> Fault.Inject.read_offset_of engine ~index)
+
+let predict_drawn m ~factors ~offsets ~clamp ~sample x =
+  check_input m x;
+  let dev_scores =
+    Array.init m.n_classes (fun c ->
+        let row = m.weights.(c) and factor = factors.(c) in
+        let acc = ref 0.0 in
+        for f = 0 to m.n_features - 1 do
+          if x.(f) then acc := !acc +. (float_of_int row.(f) *. factor.(f))
+        done;
+        acc := !acc +. (float_of_int m.bias.(c) *. factor.(m.n_features));
+        clamp (int_of_float (Float.round !acc) + offsets.((sample * m.n_classes) + c)))
+  in
+  argmax dev_scores

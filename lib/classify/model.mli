@@ -52,7 +52,37 @@ val predict_dev : ?engine:Fault.Inject.t -> t -> sample:int -> bool array -> int
     With [engine] the draws come from that explicit engine's [_of]
     helpers; without it they come from the process-global engine — and
     when that is disarmed the call is one atomic load plus {!predict},
-    bit-identical to the reference. *)
+    bit-identical to the reference.
+
+    This per-sample form redraws every cell factor and read offset on
+    each call. It is the {e oracle} for the hoisted form below, which
+    the envelope runs; the [classify/hoisted-vs-predict-dev] property
+    holds the two label for label. *)
+
+(** {2 The hoisted analog path}
+
+    The draws of {!predict_dev ~engine}, made once each: the cell
+    factors depend only on the engine's seed and σ, the read offsets
+    only on its seed and LSB. [predict_drawn m ~factors:(weight_factors
+    e m) ~offsets:(read_offsets e m ~samples) ~clamp:(Fault.Inject.adc_clamp_of
+    e) ~sample x] equals [predict_dev ~engine:e m ~sample x] for every
+    [sample < samples]: the same MAC in the same float summation order,
+    the same round, offset, clamp and argmax. *)
+
+val weight_factors : Fault.Inject.t -> t -> float array array
+(** [n_classes × (n_features + 1)] lifetime factors, entry [(c, f)] for
+    the cell {!weight_cell_index}[ ~class_:c ~feature:f] (column
+    [n_features] is the bias cell). *)
+
+val read_offsets : Fault.Inject.t -> t -> samples:int -> int array
+(** Read offsets of samples [0..samples-1], entry
+    [sample × n_classes + class]. *)
+
+val predict_drawn :
+  t -> factors:float array array -> offsets:int array -> clamp:(int -> int) -> sample:int ->
+  bool array -> int
+(** Inference through pre-drawn factors and offsets, each class read
+    passed through [clamp] (the ADC). *)
 
 val weight_cell_index : t -> class_:int -> feature:int -> int
 (** The {!Fault.Inject.site} coordinate of a weight cell:

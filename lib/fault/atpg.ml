@@ -117,7 +117,7 @@ let generate pla =
     for m = 0 to total - 1 do
       let gain = ref 0 in
       for i = 0 to fw - 1 do
-        gain := !gain + Table.popcount (by_vector.((m * fw) + i) land remaining.(i))
+        gain := !gain + Util.Bits.popcount (by_vector.((m * fw) + i) land remaining.(i))
       done;
       if !gain > !best_gain then begin
         best_gain := !gain;

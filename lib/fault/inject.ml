@@ -242,12 +242,22 @@ let tap site =
          width means every sample at this site is subject to it. *)
       if t.plan.adc_bits > 0 then decide "adc_clamp" Corrupt else No_fault)
 
-let crosspoint_fault_of t ~index =
+(* The cell's first draw is the uniform the rate is compared against,
+   its second the stuck kind; both are fixed per (seed, index). *)
+let crosspoint_draw_of t ~index =
   let rng = stream t "crosspoint" (string_of_int index) in
-  if Util.Rng.bernoulli rng t.plan.crosspoint_flip then begin
-    tally t "crosspoint_flip";
+  let u = Util.Rng.float rng 1.0 in
+  let kind =
     if Util.Rng.bernoulli rng t.plan.crosspoint_closed_share then Defect.Stuck_closed
     else Defect.Stuck_open
+  in
+  (u, kind)
+
+let crosspoint_fault_of t ~index =
+  let u, kind = crosspoint_draw_of t ~index in
+  if u < t.plan.crosspoint_flip then begin
+    tally t "crosspoint_flip";
+    kind
   end
   else Defect.Good
 

@@ -131,6 +131,14 @@ val crosspoint_fault_of : t -> index:int -> Defect.kind
     across rates, which is what makes envelope degradation curves
     monotone by construction. *)
 
+val crosspoint_draw_of : t -> index:int -> float * Defect.kind
+(** The raw decision behind {!crosspoint_fault_of}: the cell's uniform
+    [u] in [\[0, 1)] and the stuck kind it takes when it fails (split
+    by [crosspoint_closed_share]). The cell is defective at rate [r] iff
+    [u < r]; the plan's [crosspoint_flip] is not read and nothing is
+    tallied. Drawing a cell once serves every rate, which is how
+    {!Trial_maps} builds nested maps. *)
+
 val pg_drift : index:int -> float
 (** 0 unless the armed plan fires, else ±[pg_drift_v] (sign from the
     decision stream). *)
@@ -149,7 +157,9 @@ val pg_drift : index:int -> float
 val weight_factor_of : t -> index:int -> float
 (** Lifetime conductance scale for weight cell [index]: [1 + sigma·g]
     with [g] ≈ N(0,1) from the cell's stream; exactly 1.0 when
-    [weight_sigma] is 0. Tallies [weight_perturb] on a non-unit draw. *)
+    [weight_sigma] is 0. Tallies [weight_perturb] on a non-unit draw —
+    once per call, so a caller that draws each cell once (the hoisted
+    [Classify.Model.weight_factors]) counts perturbed cells, not reads. *)
 
 val weight_factor : index:int -> float
 (** Global-engine {!weight_factor_of}; 1.0 when disarmed. *)

@@ -47,9 +47,6 @@ val plane : space -> ?defects:Defect.map -> Cnfet.Plane.t -> int array array -> 
 val mem : int array -> int -> bool
 (** [mem slice m]: is minterm [m] set in [slice]? *)
 
-val popcount : int -> int
-(** Set bits of a native int (all 63). *)
-
 (** {1 Output tables} *)
 
 type t

@@ -836,33 +836,17 @@ let classify_mapped_vs_reference =
           minterms
       in
       let spare_rows = 1 in
-      let engine =
-        Fault.Inject.make ~seed:c.Gens.cl_seed
-          { Fault.Inject.nothing with crosspoint_flip = c.Gens.cl_rate }
-      in
+      let engine = Fault.Inject.make ~seed:c.Gens.cl_seed Fault.Inject.nothing in
       let pla = mapped.Classify.Map.pla in
-      let rows = Cnfet.Pla.num_products pla + spare_rows in
-      let and_cols = Cnfet.Plane.cols (Cnfet.Pla.and_plane pla) in
-      let n_out = Cnfet.Plane.rows (Cnfet.Pla.or_plane pla) in
-      let ctr = ref 0 in
-      let draw map ~row ~col =
-        incr ctr;
-        match Fault.Inject.crosspoint_fault_of engine ~index:!ctr with
-        | Fault.Defect.Good -> ()
-        | k -> Fault.Defect.set map ~row ~col k
+      let and_defects, or_defects =
+        Fault.Trial_maps.at_rate
+          (Fault.Trial_maps.draw engine ~trials:1
+             ~rows:(Cnfet.Pla.num_products pla + spare_rows)
+             ~and_cols:(Cnfet.Plane.cols (Cnfet.Pla.and_plane pla))
+             ~n_out:(Cnfet.Plane.rows (Cnfet.Pla.or_plane pla))
+             ~max_rate:c.Gens.cl_rate)
+          ~trial:0 ~rate:c.Gens.cl_rate
       in
-      let and_defects = Fault.Defect.perfect ~rows ~cols:and_cols in
-      for r = 0 to rows - 1 do
-        for cc = 0 to and_cols - 1 do
-          draw and_defects ~row:r ~col:cc
-        done
-      done;
-      let or_defects = Fault.Defect.perfect ~rows:n_out ~cols:rows in
-      for r = 0 to n_out - 1 do
-        for cc = 0 to rows - 1 do
-          draw or_defects ~row:r ~col:cc
-        done
-      done;
       let phys = Classify.Map.identity_physical mapped ~spare_rows in
       let range = 1 lsl Classify.Model.label_bits m in
       let faulted =
@@ -874,6 +858,100 @@ let classify_mapped_vs_reference =
           minterms
       in
       clean && faulted)
+
+(* The envelope's hoisted analog path (factors drawn once per engine,
+   read offsets once per population) must label every sample exactly as
+   the per-sample [predict_dev] oracle. Sample [s] reads minterm
+   [s mod 2^n], so a population revisits minterms under fresh offsets. *)
+let classify_hoisted_vs_predict_dev =
+  let gen =
+    let open Gen in
+    let* c = Gens.classify_case () in
+    let* sigma = oneofl [ 0.0; 0.05; 0.2; 0.5 ] in
+    let* lsb = int_range 0 3 in
+    let* adc_bits = int_range 0 8 in
+    let* samples = int_range 1 80 in
+    return (c, sigma, lsb, adc_bits, samples)
+  in
+  let shrink (c, sigma, lsb, adc_bits, samples) =
+    Seq.map (fun c -> (c, sigma, lsb, adc_bits, samples)) (Gens.shrink_classify_case c)
+  in
+  let print (c, sigma, lsb, adc_bits, samples) =
+    Printf.sprintf "%s\nsigma %g, read noise %d LSB, adc %d bits, %d samples"
+      (Gens.print_classify_case c) sigma lsb adc_bits samples
+  in
+  Runner.make ~name:"classify/hoisted-vs-predict-dev" ~count:60 (Arb.make ~shrink ~print gen)
+    (fun (c, sigma, lsb, adc_bits, samples) ->
+      let m = Gens.model_of_case c in
+      let engine =
+        Fault.Inject.make ~seed:c.Gens.cl_seed
+          {
+            Fault.Inject.nothing with
+            weight_sigma = sigma;
+            read_noise_lsb = lsb;
+            adc_bits;
+          }
+      in
+      let factors = Classify.Model.weight_factors engine m in
+      let offsets = Classify.Model.read_offsets engine m ~samples in
+      let clamp = Fault.Inject.adc_clamp_of engine in
+      let minterms = Array.of_list (Gens.all_minterms c.Gens.cl_n_features) in
+      List.for_all
+        (fun sample ->
+          let x = minterms.(sample mod Array.length minterms) in
+          Classify.Model.predict_drawn m ~factors ~offsets ~clamp ~sample x
+          = Classify.Model.predict_dev ~engine m ~sample x)
+        (List.init samples Fun.id))
+
+(* Maps built by thresholding one draw per (trial, cell) must equal the
+   cell-by-cell [crosspoint_fault_of] decisions of an engine armed at
+   that rate: at 0, at the draw's [max_rate] (often 1) and one rate in
+   between. *)
+let trial_maps_vs_crosspoint_fault =
+  let gen =
+    let open Gen in
+    let* seed = int_range 0 9999 in
+    let* trials = int_range 1 3 in
+    let* rows = int_range 1 8 in
+    let* and_cols = int_range 1 8 in
+    let* n_out = int_range 1 4 in
+    let* max_rate = oneof [ return 1.0; float_range 0.0 1.0 ] in
+    let* share = float_range 0.0 1.0 in
+    return (seed, trials, rows, and_cols, n_out, max_rate, max_rate *. share)
+  in
+  let print (seed, trials, rows, and_cols, n_out, max_rate, between) =
+    Printf.sprintf "seed %d, %d trials, %d rows x %d AND cols, %d outputs, rates %g <= %g" seed
+      trials rows and_cols n_out between max_rate
+  in
+  Runner.make ~name:"fault/trial-maps-vs-crosspoint-fault" ~count:60 (Arb.make ~print gen)
+    (fun (seed, trials, rows, and_cols, n_out, max_rate, between) ->
+      let cells =
+        Fault.Trial_maps.draw (Fault.Inject.make ~seed Fault.Inject.nothing) ~trials ~rows
+          ~and_cols ~n_out ~max_rate
+      in
+      List.for_all
+        (fun rate ->
+          let engine = Fault.Inject.make ~seed { Fault.Inject.nothing with crosspoint_flip = rate } in
+          List.for_all
+            (fun trial ->
+              let and_defects, or_defects = Fault.Trial_maps.at_rate cells ~trial ~rate in
+              let ctr = ref (trial * Fault.Trial_maps.trial_span) in
+              let same map ~rows ~cols =
+                let ok = ref true in
+                for row = 0 to rows - 1 do
+                  for col = 0 to cols - 1 do
+                    incr ctr;
+                    if Fault.Defect.kind map ~row ~col
+                       <> Fault.Inject.crosspoint_fault_of engine ~index:!ctr
+                    then ok := false
+                  done
+                done;
+                !ok
+              in
+              let and_ok = same and_defects ~rows ~cols:and_cols in
+              and_ok && same or_defects ~rows:n_out ~cols:rows)
+            (List.init trials Fun.id))
+        [ 0.0; max_rate; between ])
 
 let all =
   [
@@ -900,6 +978,8 @@ let all =
     runtime_bitslice_vs_scalar;
     serve_codec_roundtrip;
     classify_mapped_vs_reference;
+    classify_hoisted_vs_predict_dev;
+    trial_maps_vs_crosspoint_fault;
     assess_run_roundtrip;
     sweep_pipeline_equivalence;
     sweep_determinism;

@@ -20,4 +20,5 @@ val all : Runner.t list
     [crossbar/resolve-vs-hw], [folding/witness-valid],
     [fpga/inverter-absorption], [trace/wellformed],
     [runtime/bitslice-vs-scalar], [serve/codec-roundtrip],
-    [assess/run-roundtrip]. *)
+    [classify/mapped-vs-reference], [classify/hoisted-vs-predict-dev],
+    [fault/trial-maps-vs-crosspoint-fault], [assess/run-roundtrip]. *)

@@ -127,16 +127,12 @@ let bench_function ~quick ~rng name on_set =
         let first = b * lanes_per_word in
         (first, min lanes_per_word (n_minterms - first)))
   in
-  let popcount v =
-    let rec go v acc = if v = 0 then acc else go (v land (v - 1)) (acc + 1) in
-    go v 0
-  in
   let _, eval_block_s =
     time_amortized ~min_s (fun () ->
         Array.fold_left
           (fun acc (first, lanes) ->
             let block = Cache.transpose minterms ~first ~lanes in
-            acc + popcount (Cache.eval_block compiled block).(0))
+            acc + Util.Bits.popcount (Cache.eval_block compiled block).(0))
           0 blocks)
   in
   (* Checked against the uncompiled reference model, not against another

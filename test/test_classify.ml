@@ -254,6 +254,36 @@ let test_envelope_checkpoint_resume () =
     (Assess.Json.to_string (Envelope.deterministic_json resumed) = want);
   Sys.remove path
 
+(* A rate row's fault pass is computed once by whichever of its σ points
+   asks first. Resume from a checkpoint holding only point 2 (rate row
+   1, σ column 0): point 3 must compute row 1 by itself, and the view
+   must equal an uninterrupted run's, at jobs 1 and 2. *)
+let test_envelope_resume_one_sigma_of_row () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "classify_ckpt_row_test" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "envelope.jsonl" in
+  if Sys.file_exists path then Sys.remove path;
+  let full = Envelope.run (tiny_config ~checkpoint:path ()) in
+  let want = Assess.Json.to_string (Envelope.deterministic_json full) in
+  let lines = In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n' in
+  let header = List.hd lines and item = List.nth lines 3 in
+  checkb "kept line is point 2" true
+    (match Assess.Json.parse item with
+    | Ok j -> Option.map (fun pt -> pt.Envelope.pt_index) (Envelope.point_of_json j) = Some 2
+    | Error _ -> false);
+  List.iter
+    (fun jobs ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (header ^ "\n" ^ item ^ "\n"));
+      let resumed = Envelope.run (tiny_config ~checkpoint:path ~jobs ()) in
+      checki "one point came from the checkpoint" 1 resumed.Envelope.ep_resumed;
+      checkb
+        (Printf.sprintf "resumed report bit-exact at jobs %d" jobs)
+        true
+        (Assess.Json.to_string (Envelope.deterministic_json resumed) = want))
+    [ 1; 2 ];
+  Sys.remove path
+
 (* --- golden regression ---------------------------------------------------- *)
 
 let golden_path name =
@@ -382,6 +412,8 @@ let () =
           Alcotest.test_case "jobs-invariant deterministic view" `Quick
             test_envelope_jobs_invariant;
           Alcotest.test_case "checkpoint resume bit-exact" `Quick test_envelope_checkpoint_resume;
+          Alcotest.test_case "resume from one sigma point of a row" `Quick
+            test_envelope_resume_one_sigma_of_row;
           Alcotest.test_case "golden quick envelope" `Quick test_golden_quick_envelope;
           Alcotest.test_case "golden default envelope" `Quick test_golden_default_envelope;
         ] );

@@ -507,6 +507,56 @@ let test_yield_sweep_with_is_sweep () =
   in
   checkb "sweep = sweep_with(trial)" true (direct = generic)
 
+(* --- Trial maps ----------------------------------------------------------- *)
+
+(* Trial k's cells are keyed k × trial_span + 1 .. k × trial_span + cells,
+   so a trial with trial_span cells or more would draw trial k+1's
+   streams. The draw must refuse such an array (a 16-feature classifier
+   can lower to far more) rather than alias silently. [trials:0] keeps
+   the accepted case free of draws. *)
+let test_trial_maps_key_span () =
+  let engine = Fault.Inject.make ~seed:1 Fault.Inject.nothing in
+  let span = Fault.Trial_maps.trial_span in
+  let draw ~and_cols =
+    Fault.Trial_maps.draw engine ~trials:0 ~rows:1 ~and_cols ~n_out:1 ~max_rate:1.0
+  in
+  (* one AND row of [and_cols] cells plus one OR cell *)
+  ignore (draw ~and_cols:(span - 2));
+  (match draw ~and_cols:(span - 1) with
+  | _ -> Alcotest.fail "a trial of trial_span cells was accepted"
+  | exception Invalid_argument _ -> ());
+  match
+    Fault.Trial_maps.draw engine ~trials:2 ~rows:(1 lsl 16) ~and_cols:32 ~n_out:4 ~max_rate:1.0
+  with
+  | _ -> Alcotest.fail "a 16-feature-sized array was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* Keys stay where the envelope has always put them: the first draw of
+   trial 1 is cell index trial_span + 1. *)
+let test_trial_maps_keys () =
+  let engine = Fault.Inject.make ~seed:2008 Fault.Inject.nothing in
+  let cells =
+    Fault.Trial_maps.draw engine ~trials:2 ~rows:3 ~and_cols:4 ~n_out:2 ~max_rate:1.0
+  in
+  let all = Fault.Inject.make ~seed:2008 { Fault.Inject.nothing with crosspoint_flip = 1.0 } in
+  let and_defects, or_defects = Fault.Trial_maps.at_rate cells ~trial:1 ~rate:1.0 in
+  checkb "first AND cell of trial 1" true
+    (Fault.Defect.kind and_defects ~row:0 ~col:0
+    = Fault.Inject.crosspoint_fault_of all ~index:(Fault.Trial_maps.trial_span + 1));
+  checkb "last OR cell of trial 1" true
+    (Fault.Defect.kind or_defects ~row:1 ~col:2
+    = Fault.Inject.crosspoint_fault_of all ~index:(Fault.Trial_maps.trial_span + 18));
+  checki "rate 1 breaks every cell" 18
+    (Fault.Defect.defect_count and_defects + Fault.Defect.defect_count or_defects);
+  let and0, or0 = Fault.Trial_maps.at_rate cells ~trial:0 ~rate:0.0 in
+  checki "rate 0 breaks none" 0 (Fault.Defect.defect_count and0 + Fault.Defect.defect_count or0);
+  let capped =
+    Fault.Trial_maps.draw engine ~trials:1 ~rows:3 ~and_cols:4 ~n_out:2 ~max_rate:0.5
+  in
+  match Fault.Trial_maps.at_rate capped ~trial:0 ~rate:0.6 with
+  | _ -> Alcotest.fail "a rate above max_rate was served"
+  | exception Invalid_argument _ -> ()
+
 (* --- typed errors ----------------------------------------------------------- *)
 
 let test_repair_typed_errors () =
@@ -638,6 +688,11 @@ let () =
           Alcotest.test_case "sweep_with generalizes sweep" `Quick test_yield_sweep_with_is_sweep;
           Alcotest.test_case "rate streams independent of list" `Quick
             test_yield_sweep_rate_independence;
+        ] );
+      ( "trial maps",
+        [
+          Alcotest.test_case "key span guard" `Quick test_trial_maps_key_span;
+          Alcotest.test_case "keys and rate extremes" `Quick test_trial_maps_keys;
         ] );
       ( "typed errors",
         [

@@ -194,6 +194,23 @@ let prop_demorgan =
         (Util.Bitvec.complement (Util.Bitvec.union a b'))
         (Util.Bitvec.inter (Util.Bitvec.complement a) (Util.Bitvec.complement b')))
 
+(* --- Bits ---------------------------------------------------------------- *)
+
+let test_bits_popcount () =
+  let kernighan v =
+    let rec go v acc = if v = 0 then acc else go (v land (v - 1)) (acc + 1) in
+    go v 0
+  in
+  List.iter
+    (fun v -> checki (Printf.sprintf "popcount %x" v) (kernighan v) (Util.Bits.popcount v))
+    [ 0; 1; -1; max_int; min_int; 0x5555555555555555; 1 lsl 61; 1 lsl 62 ];
+  checki "all 63 bits" 63 (Util.Bits.popcount (-1));
+  let rng = Util.Rng.create 7 in
+  for _ = 1 to 1000 do
+    let v = Int64.to_int (Util.Rng.bits64 rng) in
+    checki "random word" (kernighan v) (Util.Bits.popcount v)
+  done
+
 (* --- Stats --------------------------------------------------------------- *)
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
@@ -303,6 +320,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_union_commutes;
           QCheck_alcotest.to_alcotest prop_demorgan;
         ] );
+      ("bits", [ Alcotest.test_case "popcount" `Quick test_bits_popcount ]);
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
