@@ -151,21 +151,17 @@ let tally t category = Atomic.incr (List.assoc category t.tallies)
 
 (* --- decision streams --------------------------------------------------- *)
 
-let fnv1a seed tag index_str =
-  let h = ref 0xcbf29ce484222325L in
-  let mix c =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L
-  in
-  String.iter mix (string_of_int seed);
-  mix '/';
-  String.iter mix tag;
-  mix '#';
-  String.iter mix index_str;
-  Int64.to_int !h
-
-(* A short private stream per decision; draw order within a site is fixed
-   by the code below, so every decision is reproducible in isolation. *)
-let stream t tag index_str = Util.Rng.create (fnv1a t.seed tag index_str)
+(* A short private stream per decision, keyed by the FNV-1a hash of
+   "<seed>/<tag>#<index>"; draw order within a site is fixed by the code
+   below, so every decision is reproducible in isolation. *)
+let stream t tag index_str =
+  let k = Util.Rng.key () in
+  Util.Rng.key_string k (string_of_int t.seed);
+  Util.Rng.key_string k "/";
+  Util.Rng.key_string k tag;
+  Util.Rng.key_string k "#";
+  Util.Rng.key_string k index_str;
+  Util.Rng.of_key k
 
 let site_tag = function
   | Pool_task _ -> "pool_task"

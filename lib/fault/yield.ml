@@ -85,18 +85,6 @@ let estimate_with ~trial:run_trial rng ?(trials = 200) ~defect_rate () =
   done;
   point_of_outcomes ~defect_rate (Array.of_list (List.rev !acc))
 
-(* FNV-1a over the little-endian bytes of each 64-bit word. *)
-let fnv64 words =
-  let h = ref 0xcbf29ce484222325L in
-  List.iter
-    (fun w ->
-      for b = 0 to 7 do
-        let byte = Int64.logand (Int64.shift_right_logical w (8 * b)) 0xffL in
-        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
-      done)
-    words;
-  !h
-
 (* Every rate's stream is keyed by (one up-front master draw, the rate's
    own bit pattern) — never by the rate's position — so editing the rate
    list cannot shift any other rate's trials. The historical behaviour
@@ -107,8 +95,10 @@ let sweep_with ~trial rng ?trials ~rates () =
   let master = Util.Rng.bits64 rng in
   List.map
     (fun rate ->
-      let key = fnv64 [ master; Int64.bits_of_float rate ] in
-      estimate_with ~trial (Util.Rng.create (Int64.to_int key)) ?trials ~defect_rate:rate ())
+      let key = Util.Rng.key () in
+      Util.Rng.key_int64 key master;
+      Util.Rng.key_int64 key (Int64.bits_of_float rate);
+      estimate_with ~trial (Util.Rng.of_key key) ?trials ~defect_rate:rate ())
     rates
 
 let estimate rng ?trials ?(spare_rows = 2) ?closed_share pla ~defect_rate =

@@ -126,71 +126,6 @@ let table2_experiment ?(seed = 2008) ?(grid = 17) () =
   in
   Stage.exec_exn pipeline ()
 
-(* --- the pre-refactor monolith ------------------------------------------ *)
-
-(* Kept verbatim as the reference implementation for the
-   [sweep/pipeline-equivalence] property: the staged flow above must be
-   outcome-identical to these direct-call bodies on every design. *)
-module Unstaged = struct
-  let run rng arch design =
-    let placement = Place.place rng arch design in
-    let routing = Route.route placement in
-    let timing = Timing.analyze placement routing in
-    let used = Design.block_count design in
-    {
-      flavour = arch.Arch.flavour;
-      grid = arch.Arch.grid;
-      sites = Arch.sites arch;
-      blocks_used = used;
-      occupancy = Arch.occupancy arch ~used;
-      wirelength = Place.total_wirelength placement;
-      routed_segments = routing.Route.total_segments;
-      route_overflow = routing.Route.overflow;
-      route_iterations = routing.Route.iterations;
-      timing;
-    }
-
-  let outcome_of arch design placement =
-    let routing = Route.route placement in
-    let timing = Timing.analyze placement routing in
-    let used = Design.block_count design in
-    ( routing,
-      {
-        flavour = arch.Arch.flavour;
-        grid = arch.Arch.grid;
-        sites = Arch.sites arch;
-        blocks_used = used;
-        occupancy = Arch.occupancy arch ~used;
-        wirelength = Place.total_wirelength placement;
-        routed_segments = routing.Route.total_segments;
-        route_overflow = routing.Route.overflow;
-        route_iterations = routing.Route.iterations;
-        timing;
-      } )
-
-  let run_timing_driven ?(rounds = 1) rng arch design =
-    let placement = Place.place rng arch design in
-    let routing, first = outcome_of arch design placement in
-    let rec refine best_outcome prev_placement prev_routing k =
-      if k = 0 then best_outcome
-      else begin
-        let crits = Timing.criticalities prev_placement prev_routing in
-        let weights = Array.map (fun c -> 1.0 +. (7.0 *. (c ** 8.0))) crits in
-        let placement' = Place.place ~weights rng arch design in
-        let routing', outcome' = outcome_of arch design placement' in
-        let best =
-          if
-            outcome'.timing.Timing.critical_path
-            < best_outcome.timing.Timing.critical_path
-          then outcome'
-          else best_outcome
-        in
-        refine best placement' routing' (k - 1)
-      end
-    in
-    refine first placement routing rounds
-end
-
 let pp_outcome fmt o =
   Format.fprintf fmt
     "%s: grid=%dx%d blocks=%d occ=%.1f%% wl=%d segs=%d overflow=%d iters=%d %a"

@@ -13,10 +13,9 @@
     [fpga.replace] for timing-driven refinement and [table2.*] for the
     experiment), so flows inherit spans, per-stage latency histograms and
     typed failure capture from the stage engine — and the population
-    sweep ({!Sweep.Drive}) reuses {!staged} verbatim. The pre-refactor
-    direct-call bodies are kept in {!Unstaged}; the
-    [sweep/pipeline-equivalence] property pins the two implementations
-    outcome-identical. *)
+    sweep ({!Sweep.Drive}) reuses {!staged} verbatim. The golden
+    [test/golden/fpga_flow.json] pins the flow's placements and outcomes
+    bit for bit. *)
 
 type outcome = {
   flavour : Arch.flavour;
@@ -66,13 +65,5 @@ val table2_experiment : ?seed:int -> ?grid:int -> unit -> table2
 (** Full Table 2 reproduction as a [table2.design >>> table2.standard >>>
     table2.cnfet] pipeline. The design is sized to fill the standard
     device to ≈99%; defaults: [seed 2008], [grid 17]. *)
-
-(** The pre-refactor monolith, kept verbatim as the oracle for the
-    [sweep/pipeline-equivalence] property. Do not add call sites: every
-    production path goes through the staged pipeline above. *)
-module Unstaged : sig
-  val run : Util.Rng.t -> Arch.t -> Design.t -> outcome
-  val run_timing_driven : ?rounds:int -> Util.Rng.t -> Arch.t -> Design.t -> outcome
-end
 
 val pp_outcome : Format.formatter -> outcome -> unit

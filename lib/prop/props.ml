@@ -705,11 +705,17 @@ let assess_run_roundtrip =
 
 (* --- sweep --------------------------------------------------------------- *)
 
-(* The staged [Fpga.Flow] against the pre-refactor monolith kept verbatim
-   in [Flow.Unstaged]: same seed, same rng consumption order, so every
-   outcome field — floats included — must be structurally identical.
-   This is the license for the population sweep to reuse [Flow.staged]
-   in place of the code it replaced. *)
+(* The staged [Fpga.Flow] on random designs. Its exact outputs at these
+   cases for the tier-1 runner seed (2008) are pinned bit for bit by
+   test/golden/fpga_flow.json, which replaced the pre-refactor monolith
+   as the flow's oracle; at any seed the law checks what must hold
+   whatever the numbers:
+   - [Flow.run] is the staged pipeline's outcome;
+   - unit weights are the unweighted cost: weighted placement is the same
+     code path, so it reproduces the plain anneal site for site and the
+     plain outcome field for field;
+   - timing-driven refinement returns its own first (plain) round unless a
+     criticality-weighted re-place times strictly better. *)
 type flow_case = { fc_seed : int; fc_n_pi : int; fc_n_blocks : int }
 
 let gen_flow_case =
@@ -737,12 +743,24 @@ let sweep_pipeline_equivalence =
       in
       let arch = Fpga.Arch.cnfet ~grid in
       let seed = c.fc_seed lxor 0x5157 in
-      Fpga.Flow.run (Util.Rng.create seed) arch design
-      = Fpga.Flow.Unstaged.run (Util.Rng.create seed) arch design
-      && Fpga.Flow.run_timing_driven ~rounds:1 (Util.Rng.create (seed + 1)) arch design
-         = Fpga.Flow.Unstaged.run_timing_driven ~rounds:1
-             (Util.Rng.create (seed + 1))
-             arch design)
+      let attempt ?weights () =
+        Stage_core.exec_exn (Fpga.Flow.staged ?weights (Util.Rng.create seed) arch) design
+      in
+      let plain = attempt () in
+      let unit = attempt ~weights:(Array.make (Fpga.Design.connection_count design) 1.0) () in
+      let same_sites =
+        List.for_all
+          (fun b ->
+            Fpga.Place.block_loc plain.a_placement b = Fpga.Place.block_loc unit.a_placement b)
+          (List.init (Fpga.Design.block_count design) Fun.id)
+      in
+      let first = Fpga.Flow.run (Util.Rng.create (seed + 1)) arch design in
+      let refined = Fpga.Flow.run_timing_driven ~rounds:1 (Util.Rng.create (seed + 1)) arch design in
+      Fpga.Flow.run (Util.Rng.create seed) arch design = plain.a_outcome
+      && unit.a_outcome = plain.a_outcome
+      && same_sites
+      && (refined = first
+         || refined.timing.Fpga.Timing.critical_path < first.timing.Fpga.Timing.critical_path))
 
 (* A whole (tiny) population sweep per case, run twice at different job
    counts and window sizes: the deterministic report views must agree

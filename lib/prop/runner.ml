@@ -44,15 +44,13 @@ let count t = t.count
 
 (* --- seed derivation --------------------------------------------------- *)
 
-let fnv64 s =
-  String.fold_left
-    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    0xCBF29CE484222325L s
-
 let positive i64 = Int64.to_int (Int64.shift_right_logical i64 2)
 
+(* The FNV-1a hash of the property name, folded into the master seed. *)
 let chain_for ~seed prop_name =
-  Util.Rng.create (seed lxor positive (fnv64 prop_name))
+  let key = Util.Rng.key () in
+  Util.Rng.key_string key prop_name;
+  Util.Rng.create (seed lxor positive (Util.Rng.key_hash key))
 
 let next_case_seed chain = positive (Util.Rng.bits64 chain)
 

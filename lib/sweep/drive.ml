@@ -95,22 +95,13 @@ let name_for space index =
 (* ------------------------------------------------------------------ *)
 (* Deterministic per-item streams *)
 
-(* FNV-1a over the little-endian bytes of each word. The stream key is a
-   pure function of (seed, salt, index): nothing about scheduling, job
-   count or resume order can reach it. *)
-let mix64 words =
-  let h = ref 0xcbf29ce484222325L in
-  List.iter
-    (fun w ->
-      let w = Int64.of_int w in
-      for b = 0 to 7 do
-        let byte = Int64.logand (Int64.shift_right_logical w (8 * b)) 0xffL in
-        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
-      done)
-    words;
-  Int64.to_int !h
-
-let item_rng ~seed ~salt index = Util.Rng.create (mix64 [ seed; salt; index ])
+(* A keyed stream (FNV-1a over the little-endian bytes of each word):
+   the key is a pure function of (seed, salt, index), so nothing about
+   scheduling, job count or resume order can reach it. *)
+let item_rng ~seed ~salt index =
+  let key = Util.Rng.key () in
+  List.iter (fun w -> Util.Rng.key_int64 key (Int64.of_int w)) [ seed; salt; index ];
+  Util.Rng.of_key key
 
 (* ------------------------------------------------------------------ *)
 (* The per-item staged flow *)

@@ -2,7 +2,11 @@
 
     All stochastic parts of the library (synthetic benchmark generation,
     placement annealing, defect injection) draw from this generator so that
-    every experiment is reproducible from a single integer seed. *)
+    every experiment is reproducible from a single integer seed.
+
+    The state is one unboxed 64-bit word: drawing with {!int}, {!bool},
+    {!bernoulli}, {!shuffle} or {!pick} allocates nothing, and {!float}
+    allocates only its boxed result. *)
 
 type t
 
@@ -36,3 +40,28 @@ val shuffle : t -> 'a array -> unit
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
+
+(** {1 Keyed streams}
+
+    A stream named by data rather than by position: hash the key's bytes
+    with FNV-1a (64-bit) and seed a generator from the hash. The stream
+    then depends on nothing but the key — not on scheduling, job count
+    or which other streams were drawn first. A key is fed in place and
+    allocates nothing per byte. *)
+
+type key
+
+val key : unit -> key
+(** A fresh key: the FNV-1a offset basis, no bytes fed yet. *)
+
+val key_string : key -> string -> unit
+(** Feed the string's bytes. *)
+
+val key_int64 : key -> int64 -> unit
+(** Feed the word's 8 bytes, least significant first. *)
+
+val key_hash : key -> int64
+(** The FNV-1a hash of every byte fed so far. *)
+
+val of_key : key -> t
+(** [of_key k] is [create (Int64.to_int (key_hash k))]. *)

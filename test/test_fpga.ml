@@ -446,6 +446,122 @@ let test_flow_speedup_shape () =
   checkb "speedup > 1.5x" true (t.Fpga.Flow.speedup > 1.5);
   checkb "routable" true (c.Fpga.Flow.route_overflow = 0)
 
+(* --- Flow golden ------------------------------------------------------------ *)
+
+(* Pins the whole place → route → time flow bit for bit: block locations
+   of a plain and of a weighted placement, and every field of [Flow.run]
+   and [Flow.run_timing_driven ~rounds:1], floats printed with [%h].
+   The first cases are the [sweep/pipeline-equivalence] property's cases
+   at the tier-1 runner seed (2008): (design seed, n_pi, n_blocks), with
+   the property's grid rule and flow seed. The rest are mapped
+   [Mcnc.Generators] functions on the sweep's grid rule, and two larger
+   random designs (one on the standard fabric) whose anneals run longer. *)
+let flow_prop_cases =
+  [ (581981, 3, 9); (35201, 3, 8); (229974, 2, 4); (871816, 3, 11); (960007, 4, 8);
+    (261095, 5, 8); (127618, 2, 3); (267038, 2, 8); (734695, 3, 3); (740851, 4, 7);
+    (485796, 5, 6); (672378, 2, 9); (494296, 2, 8); (343769, 3, 10); (813853, 5, 4);
+    (805321, 3, 3); (457453, 3, 9); (170030, 2, 4); (484147, 4, 11); (794615, 4, 1);
+    (136819, 3, 9); (488594, 2, 6); (893632, 3, 3); (665411, 2, 9) ]
+
+let flow_golden_cases () =
+  let rec fit ok g = if ok (Fpga.Arch.sites (Fpga.Arch.cnfet ~grid:g)) then g else fit ok (g + 1) in
+  let prop =
+    List.map
+      (fun (seed, n_pi, n_blocks) ->
+        ( Printf.sprintf "prop seed=%d n_pi=%d n_blocks=%d" seed n_pi n_blocks,
+          Fpga.Design.random (Util.Rng.create seed) ~n_pi ~n_blocks (),
+          Fpga.Arch.cnfet ~grid:(fit (fun sites -> sites >= n_blocks) 3),
+          seed lxor 0x5157 ))
+      flow_prop_cases
+  in
+  let mapped =
+    List.map
+      (fun (name, cover) ->
+        let d =
+          Fpga.Design.absorb_inverters (Fpga.Map.to_design (Fpga.Map.map_cover ~clb_inputs:4 cover))
+        in
+        let n = Fpga.Design.block_count d in
+        (name, d, Fpga.Arch.cnfet ~grid:(fit (fun sites -> sites * 4 >= n * 5) 3), 2008))
+      [ ("adder bits=3", Mcnc.Generators.adder ~bits:3);
+        ("comparator bits=4", Mcnc.Generators.comparator ~bits:4);
+        ("rd n=7", Mcnc.Generators.rd ~n:7);
+        ("alu_slice", Mcnc.Generators.alu_slice ()) ]
+  in
+  let random n_blocks =
+    Fpga.Design.random (Util.Rng.create n_blocks) ~n_pi:8 ~n_blocks ~fanin:4
+      ~inverter_fraction:0.1 ~layers:6 ()
+  in
+  prop @ mapped
+  @ [ ("random n_blocks=120", random 120, Fpga.Arch.cnfet ~grid:9, 7);
+      ("random n_blocks=50 standard", random 50, Fpga.Arch.standard ~grid:8, 8) ]
+
+let render_locs b p n =
+  Buffer.add_char b '[';
+  for i = 0 to n - 1 do
+    let x, y = Fpga.Place.block_loc p i in
+    Printf.bprintf b "%s[%d,%d]" (if i = 0 then "" else ",") x y
+  done;
+  Buffer.add_char b ']'
+
+let render_outcome b (o : Fpga.Flow.outcome) =
+  let t = o.Fpga.Flow.timing in
+  Printf.bprintf b
+    "{\"flavour\":\"%s\",\"grid\":%d,\"sites\":%d,\"blocks_used\":%d,\"occupancy\":\"%h\",\
+     \"wirelength\":%d,\"routed_segments\":%d,\"route_overflow\":%d,\"route_iterations\":%d,\
+     \"critical_path\":\"%h\",\"frequency_hz\":\"%h\",\"worst_connection\":\"%h\",\
+     \"mean_connection\":\"%h\",\"logic_levels\":%d}"
+    (Fpga.Arch.flavour_name o.flavour) o.grid o.sites o.blocks_used o.occupancy o.wirelength
+    o.routed_segments o.route_overflow o.route_iterations t.Fpga.Timing.critical_path
+    t.frequency_hz t.worst_connection t.mean_connection t.logic_levels
+
+let render_flow_golden () =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "{\"cases\":[\n";
+  List.iteri
+    (fun k (name, design, arch, seed) ->
+      let n = Fpga.Design.block_count design in
+      let plain = Fpga.Place.place (Util.Rng.create seed) arch design in
+      let crits = Fpga.Timing.criticalities plain (Fpga.Route.route plain) in
+      let weights = Array.map (fun c -> 1.0 +. (7.0 *. (c ** 8.0))) crits in
+      let weighted = Fpga.Place.place ~weights (Util.Rng.create (seed + 2)) arch design in
+      Printf.bprintf b "%s{\"name\":\"%s\",\"locs\":" (if k = 0 then "" else ",\n") name;
+      render_locs b plain n;
+      Buffer.add_string b ",\"weighted_locs\":";
+      render_locs b weighted n;
+      Buffer.add_string b ",\"run\":";
+      render_outcome b (Fpga.Flow.run (Util.Rng.create seed) arch design);
+      Buffer.add_string b ",\"timing_driven\":";
+      render_outcome b
+        (Fpga.Flow.run_timing_driven ~rounds:1 (Util.Rng.create (seed + 1)) arch design);
+      Buffer.add_char b '}')
+    (flow_golden_cases ());
+  Buffer.add_string b "\n]}\n";
+  Buffer.contents b
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let golden_path name =
+  if Sys.file_exists (Filename.concat "golden" name) then Filename.concat "golden" name
+  else Filename.concat "test/golden" name
+
+let test_flow_golden () =
+  let json = render_flow_golden () in
+  let golden = read_file (golden_path "fpga_flow.json") in
+  if json <> golden then begin
+    let out = Filename.temp_file "fpga_flow" ".json" in
+    Out_channel.with_open_bin out (fun oc -> output_string oc json);
+    Alcotest.failf "flow drifted from golden/fpga_flow.json; this run's output is in %s" out
+  end
+
+(* A design with no blocks (every PO wired straight to a PI) has nothing
+   to anneal: placement must not draw a block index from an empty range. *)
+let test_flow_zero_blocks () =
+  let d = { Fpga.Design.n_pi = 2; blocks = [||]; pos = [| Fpga.Design.Pi 0; Fpga.Design.Pi 1 |] } in
+  let o = Fpga.Flow.run (Util.Rng.create 1) (Fpga.Arch.cnfet ~grid:3) d in
+  checki "no blocks used" 0 o.Fpga.Flow.blocks_used;
+  checki "no overflow" 0 o.Fpga.Flow.route_overflow;
+  checkb "positive wirelength" true (o.Fpga.Flow.wirelength > 0)
+
 let () =
   Alcotest.run "fpga"
     [
@@ -520,5 +636,9 @@ let () =
             test_place_weights_shorten_heavy_connections;
         ] );
       ( "flow",
-        [ Alcotest.test_case "Table 2 shape (small)" `Slow test_flow_speedup_shape ] );
+        [
+          Alcotest.test_case "Table 2 shape (small)" `Slow test_flow_speedup_shape;
+          Alcotest.test_case "golden" `Quick test_flow_golden;
+          Alcotest.test_case "zero blocks" `Quick test_flow_zero_blocks;
+        ] );
     ]

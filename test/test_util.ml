@@ -65,6 +65,100 @@ let test_rng_copy () =
   let b = Util.Rng.copy a in
   Alcotest.check Alcotest.int64 "copies agree" (Util.Rng.bits64 a) (Util.Rng.bits64 b)
 
+(* The first outputs of every draw kind, per seed, against
+   golden/rng_stream.json: the stream is part of every seeded result in
+   the repository, so no change to the generator's state or arithmetic
+   may move it. Each kind starts from a fresh generator; [split] records
+   the child's and the parent's next outputs. *)
+let render_rng_golden () =
+  let b = Buffer.create 4096 in
+  let draws seed n f =
+    let r = Util.Rng.create seed in
+    String.concat "," (List.init n (fun _ -> f r))
+  in
+  Buffer.add_string b "{\"seeds\":[\n";
+  List.iteri
+    (fun k seed ->
+      let split =
+        let r = Util.Rng.create seed in
+        let child = Util.Rng.split r in
+        Printf.sprintf "\"%Lx\",\"%Lx\",\"%Lx\"" (Util.Rng.bits64 child) (Util.Rng.bits64 r)
+          (Util.Rng.bits64 child)
+      in
+      Printf.bprintf b
+        "%s{\"seed\":%d,\"bits64\":[%s],\"int\":[%s],\"int_max\":[%s],\"float\":[%s],\
+         \"bool\":[%s],\"split\":[%s]}"
+        (if k = 0 then "" else ",\n")
+        seed
+        (draws seed 4 (fun r -> Printf.sprintf "\"%Lx\"" (Util.Rng.bits64 r)))
+        (draws seed 6 (fun r -> string_of_int (Util.Rng.int r 1000)))
+        (draws seed 2 (fun r -> string_of_int (Util.Rng.int r max_int)))
+        (draws seed 4 (fun r -> Printf.sprintf "\"%h\"" (Util.Rng.float r 1.0)))
+        (draws seed 8 (fun r -> string_of_bool (Util.Rng.bool r)))
+        split)
+    [ 0; 1; 42; -1; max_int ];
+  Buffer.add_string b "\n]}\n";
+  Buffer.contents b
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_rng_stream_golden () =
+  let path =
+    if Sys.file_exists "golden/rng_stream.json" then "golden/rng_stream.json"
+    else "test/golden/rng_stream.json"
+  in
+  check Alcotest.string "rng stream" (read_file path) (render_rng_golden ())
+
+(* Copies and split children own their state: drawing from one must not
+   move the other (a shared state buffer would). *)
+let test_rng_no_aliasing () =
+  let unmoved name r other =
+    let expect = Util.Rng.bits64 (Util.Rng.copy r) in
+    for _ = 1 to 10 do
+      ignore (Util.Rng.bits64 other)
+    done;
+    Alcotest.check Alcotest.int64 name expect (Util.Rng.bits64 r)
+  in
+  let a = Util.Rng.create 5 in
+  let b = Util.Rng.copy a in
+  unmoved "copy unmoved by its source" b a;
+  unmoved "source unmoved by its copy" a b;
+  let parent = Util.Rng.create 6 in
+  let child = Util.Rng.split parent in
+  unmoved "parent unmoved by its child" parent child;
+  unmoved "child unmoved by its parent" child parent
+
+let test_rng_draws_allocate_nothing () =
+  let rng = Util.Rng.create 3 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Util.Rng.int rng 1000;
+    if Util.Rng.bool rng then incr acc;
+    if Util.Rng.bernoulli rng 0.5 then incr acc
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "no per-draw allocation" true (words < 1000.0 && !acc > 0)
+
+(* The keyed constructor is FNV-1a (64-bit): published test vectors, and
+   a word is fed as its 8 little-endian bytes. *)
+let test_rng_key_fnv1a () =
+  let hash s =
+    let k = Util.Rng.key () in
+    Util.Rng.key_string k s;
+    Util.Rng.key_hash k
+  in
+  Alcotest.check Alcotest.int64 "empty" 0xcbf29ce484222325L (hash "");
+  Alcotest.check Alcotest.int64 "a" 0xaf63dc4c8601ec8cL (hash "a");
+  Alcotest.check Alcotest.int64 "foobar" 0x85944171f73967e8L (hash "foobar");
+  let k = Util.Rng.key () in
+  Util.Rng.key_int64 k 0x0807060504030201L;
+  Alcotest.check Alcotest.int64 "word as bytes" (hash "\001\002\003\004\005\006\007\008")
+    (Util.Rng.key_hash k);
+  Alcotest.check Alcotest.int64 "of_key seeds create"
+    (Util.Rng.bits64 (Util.Rng.create (Int64.to_int (Util.Rng.key_hash k))))
+    (Util.Rng.bits64 (Util.Rng.of_key k))
+
 let test_rng_shuffle_permutation () =
   let rng = Util.Rng.create 99 in
   let a = Array.init 50 Fun.id in
@@ -302,6 +396,10 @@ let () =
           Alcotest.test_case "bernoulli bias" `Quick test_rng_bernoulli_bias;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "stream golden" `Quick test_rng_stream_golden;
+          Alcotest.test_case "no aliasing" `Quick test_rng_no_aliasing;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
+          Alcotest.test_case "key is fnv1a" `Quick test_rng_key_fnv1a;
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
         ] );
