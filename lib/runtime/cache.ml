@@ -18,7 +18,12 @@
    least-recently-used at a fixed capacity, tracked by an intrusive
    doubly-linked list threaded through the entries (touch and evict are
    O(1); no full-table scan). All operations are guarded by a mutex so
-   batch workers can share one cache. *)
+   batch workers can share one cache.
+
+   In front of the content keys sits a table keyed on a caller's source
+   bytes (the serve layer's program text): each entry carries at most
+   one such alias, removed with the entry, so a repeat of the same bytes
+   reaches its entry without parsing or hashing the cover. *)
 
 module Cover = Logic.Cover
 module Cube = Logic.Cube
@@ -255,9 +260,14 @@ type entry = {
   ekey : key;
   compiled : compiled;
   check : int;
+  mutable alias : string option;  (* this entry's key in [front], if any *)
   mutable prev : entry option;
   mutable next : entry option;
 }
+
+(* Source bytes compare by [String.equal], so a hash collision can never
+   serve another program's entry. *)
+module Front = Hashtbl.Make (String)
 
 exception Corrupt_entry of { key : key }
 
@@ -270,6 +280,7 @@ let () =
 type t = {
   lock : Mutex.t;
   table : (key, entry) Hashtbl.t;
+  front : entry Front.t;  (* source bytes -> entry; one alias per entry at most *)
   capacity : int;
   mutable head : entry option;  (* most recently used *)
   mutable tail : entry option;  (* least recently used *)
@@ -284,6 +295,7 @@ let create ?(capacity = 256) () =
   {
     lock = Mutex.create ();
     table = Hashtbl.create 64;
+    front = Front.create 64;
     capacity;
     head = None;
     tail = None;
@@ -309,9 +321,22 @@ let push_front t e =
   (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
   t.head <- Some e
 
+let drop_alias t e =
+  Option.iter (Front.remove t.front) e.alias;
+  e.alias <- None
+
 let remove_entry t e =
   unlink t e;
-  Hashtbl.remove t.table e.ekey
+  Hashtbl.remove t.table e.ekey;
+  drop_alias t e
+
+(* Invariant: [front] maps a source only to an entry whose [alias] is
+   that source, so [remove_entry] leaves nothing in [front] pointing at
+   an evicted entry. *)
+let set_alias t e source =
+  drop_alias t e;
+  Front.replace t.front source e;
+  e.alias <- Some source
 
 let evict_lru t =
   match t.tail with
@@ -320,53 +345,68 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
   | None -> ()
 
+(* Serve-time integrity check: never hand out an entry whose content
+   no longer matches the digest recorded at compile time. The rotten
+   entry is evicted, with its alias, so a retry recompiles. *)
+let verify t e =
+  if checksum_of_compiled e.compiled <> e.check then begin
+    t.corruptions <- t.corruptions + 1;
+    remove_entry t e;
+    if Obs.Span.enabled () then Obs.Span.instant "cache.corruption_detected";
+    raise (Corrupt_entry { key = e.ekey })
+  end
+
+(* A lookup that found [e]: count it, touch its LRU slot, verify it. *)
+let hit t e =
+  t.hits <- t.hits + 1;
+  unlink t e;
+  push_front t e;
+  verify t e
+
 (* Returns the compiled entry plus whether it was already cached, so
    callers that care (the serve layer reports cache_hit per request)
    get the answer for this call alone instead of racing on the shared
-   [hits] counter. *)
-let find_or_compile t key build =
+   [hits] counter. [source], when given, becomes the entry's alias in
+   the same locked section. *)
+let find_or_compile ?source t key build =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-        t.hits <- t.hits + 1;
-        unlink t e;
-        push_front t e;
-        (* Serve-time integrity check: never hand out an entry whose
-           content no longer matches the digest recorded at compile
-           time. The rotten entry is evicted so a retry recompiles. *)
-        if checksum_of_compiled e.compiled <> e.check then begin
-          t.corruptions <- t.corruptions + 1;
-          remove_entry t e;
-          if Obs.Span.enabled () then Obs.Span.instant "cache.corruption_detected";
-          raise (Corrupt_entry { key })
-        end;
-        (e.compiled, true)
-      | None ->
-        t.misses <- t.misses + 1;
-        let compiled = Obs.Span.with_ "cache.compile" build in
-        let check = checksum_of_compiled compiled in
-        if Hashtbl.length t.table >= t.capacity then evict_lru t;
-        let e = { ekey = key; compiled; check; prev = None; next = None } in
-        Hashtbl.replace t.table key e;
-        push_front t e;
-        (* Chaos hook: a freshly stored entry may rot immediately. The
-           just-built value is the stored value, so verify before
-           returning it — the caller must never evaluate through a
-           corrupt entry. *)
-        (match Fault.Inject.tap (Fault.Inject.Cache_store { key }) with
-        | Fault.Inject.Corrupt -> corrupt_compiled compiled
-        | _ -> ());
-        if checksum_of_compiled compiled <> check then begin
-          t.corruptions <- t.corruptions + 1;
-          remove_entry t e;
-          if Obs.Span.enabled () then Obs.Span.instant "cache.corruption_detected";
-          raise (Corrupt_entry { key })
-        end;
-        (compiled, false))
+      let e, cached =
+        match Hashtbl.find_opt t.table key with
+        | Some e ->
+          hit t e;
+          (e, true)
+        | None ->
+          t.misses <- t.misses + 1;
+          let compiled = Obs.Span.with_ "cache.compile" build in
+          let check = checksum_of_compiled compiled in
+          if Hashtbl.length t.table >= t.capacity then evict_lru t;
+          let e = { ekey = key; compiled; check; alias = None; prev = None; next = None } in
+          Hashtbl.replace t.table key e;
+          push_front t e;
+          (* Chaos hook: a freshly stored entry may rot immediately. The
+             just-built value is the stored value, so verify before
+             returning it — the caller must never evaluate through a
+             corrupt entry. *)
+          (match Fault.Inject.tap (Fault.Inject.Cache_store { key }) with
+          | Fault.Inject.Corrupt -> corrupt_compiled compiled
+          | _ -> ());
+          verify t e;
+          (e, false)
+      in
+      Option.iter (set_alias t e) source;
+      (e.compiled, cached))
 
-let compile_hit t ?inverted_outputs cover =
+let find_source t source =
+  locked t (fun () ->
+      match Front.find_opt t.front source with
+      | Some e ->
+        hit t e;
+        Some e.compiled
+      | None -> None)
+
+let compile_hit t ?source ?inverted_outputs cover =
   let key = key_of_cover ?inverted_outputs cover in
-  find_or_compile t key (fun () -> compile_pla (Pla.of_cover ?inverted_outputs cover))
+  find_or_compile ?source t key (fun () -> compile_pla (Pla.of_cover ?inverted_outputs cover))
 
 let compile t ?inverted_outputs cover = fst (compile_hit t ?inverted_outputs cover)
 
@@ -401,6 +441,7 @@ let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)
 let corruptions t = locked t (fun () -> t.corruptions)
 let size t = locked t (fun () -> Hashtbl.length t.table)
+let aliases t = locked t (fun () -> Front.length t.front)
 
 let corrupt_for_test = corrupt_compiled
 

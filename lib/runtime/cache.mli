@@ -9,7 +9,13 @@
     native int; {!eval} is its one-lane case; bit-identical to
     [Pla.eval]) and the lazily-built switch-level netlist. Eviction is
     LRU at a fixed capacity, tracked by an intrusive doubly-linked list
-    (touch and evict are O(1)). Thread-safe. *)
+    (touch and evict are O(1)). Thread-safe.
+
+    A front table maps a caller's {e source bytes} (the serve layer's
+    program text) straight to an entry, so a repeated request skips the
+    parse and the content hash ({!find_source}). Each entry holds at
+    most one such alias, removed with the entry, so the front table
+    never outgrows the cache. *)
 
 type t
 
@@ -17,11 +23,11 @@ type key = string
 (** MD5 digest of the programmed content. *)
 
 exception Corrupt_entry of { key : key }
-(** Raised by {!compile} / {!compile_of_pla} when the entry about to be
-    served (or just stored, under {!Fault.Inject} chaos) no longer
-    matches the integrity checksum recorded at compile time. The rotten
-    entry is evicted before raising, so a plain retry recompiles from
-    source; {!Supervisor} additionally counts these toward its
+(** Raised by {!compile} / {!compile_of_pla} / {!find_source} when the
+    entry about to be served (or just stored, under {!Fault.Inject}
+    chaos) no longer matches the integrity checksum recorded at compile
+    time. The rotten entry is evicted before raising, so a plain retry
+    recompiles from source; {!Supervisor} additionally counts these toward its
     circuit breaker and falls back to uncompiled evaluation. *)
 
 val key_of_cover : ?inverted_outputs:bool array -> Logic.Cover.t -> key
@@ -40,11 +46,23 @@ val compile : t -> ?inverted_outputs:bool array -> Logic.Cover.t -> compiled
     [inverted_outputs] follows {!Cnfet.Pla.of_cover}'s convention and is
     part of the key. *)
 
-val compile_hit : t -> ?inverted_outputs:bool array -> Logic.Cover.t -> compiled * bool
+val compile_hit :
+  t -> ?source:string -> ?inverted_outputs:bool array -> Logic.Cover.t -> compiled * bool
 (** {!compile}, additionally reporting whether the entry was already
     cached ([true] = hit). The flag describes this call alone —
     inferring it by diffing the shared {!hits} counter races with
-    concurrent lookups on the same cache. *)
+    concurrent lookups on the same cache. With [source] — bytes that
+    determine the cover, such as the text it was parsed from — those
+    bytes become the entry's one alias for {!find_source}, replacing
+    any alias it had, in the same locked section as the lookup. *)
+
+val find_source : t -> string -> compiled option
+(** The entry aliased to exactly these bytes (byte equality, never a
+    bare digest), or [None] without counting anything. A found entry
+    counts as a hit and is touched and checksum-verified like any
+    other hit.
+    @raise Corrupt_entry if it rotted; the entry and its alias are
+    evicted first, so the caller can fall back to {!compile_hit}. *)
 
 val compile_of_pla : t -> Cnfet.Pla.t -> compiled
 (** Same, keyed on an already-mapped PLA's input count and plane
@@ -116,6 +134,9 @@ val corruptions : t -> int
 (** Checksum mismatches detected (and evicted) so far. *)
 
 val size : t -> int
+
+val aliases : t -> int
+(** Source aliases held by the front table; never more than {!size}. *)
 
 val corrupt_for_test : compiled -> unit
 (** Deterministically rot a compiled entry in place {e without}

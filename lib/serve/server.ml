@@ -117,12 +117,13 @@ type engine = Compiled of Cache.compiled | Uncompiled of Cnfet.Pla.t
    recompile; if the cover key rots twice in a row, the mapped PLA is
    compiled under its plane-content key (a distinct entry, same
    per-call hit reporting via [compile_of_pla_hit]) before giving up
-   and serving this request uncompiled. *)
-let evaluator t tcache cover =
-  match Cache.compile_hit tcache cover with
+   and serving this request uncompiled. The cover-keyed lookups alias
+   [source] to the entry they return. *)
+let evaluator t tcache ~source cover =
+  match Cache.compile_hit tcache ~source cover with
   | compiled, hit -> (Compiled compiled, hit)
   | exception Cache.Corrupt_entry _ -> (
-    match Cache.compile_hit tcache cover with
+    match Cache.compile_hit tcache ~source cover with
     | compiled, hit -> (Compiled compiled, hit)
     | exception Cache.Corrupt_entry _ -> (
       let pla = Cnfet.Pla.of_cover cover in
@@ -132,6 +133,12 @@ let evaluator t tcache cover =
         bump t (fun s -> { s with fallback_evals = s.fallback_evals + 1 });
         tick t "serve.fallback_evals";
         (Uncompiled pla, false)))
+
+(* Front keys: a tag byte puts eval programs and classify model names in
+   disjoint namespaces, so no program text can alias a model. *)
+let program_source program = "P" ^ program
+
+let model_source model = "M" ^ model
 
 (* The classifier registry: model name -> lowered crossbar. Lowering
    (minterm enumeration + espresso) is paid once per process on first
@@ -160,29 +167,32 @@ type reply =
    ([Runtime.Batch.map_blocks], which uses the pool when there is more
    than one block). Each block gathers straight from the request
    matrix's packed bytes ([Wire.matrix_block]) into the bit-sliced
-   evaluator — no bool-array round-trip — and the reply matrix is
-   assembled from the lane words directly. The uncompiled fallback
-   evaluates the same blocks vector by vector. *)
+   evaluator — no bool-array round-trip. The uncompiled fallback
+   evaluates the same blocks vector by vector and packs them into the
+   same lane words, so both engines' replies are scattered into row
+   bytes by one [Wire.matrix_of_blocks]. *)
 let eval_engine t engine batch =
   let n = Wire.matrix_rows batch in
   let map_blocks f = Runtime.Batch.map_blocks ?metrics:t.metrics t.pool n f in
-  match engine with
-  | Compiled compiled ->
-    let block_words =
-      map_blocks (fun ~first ~lanes ->
-          Cache.eval_block compiled { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes })
-    in
-    let lanes_per_word = Cache.lanes_per_word in
-    Wire.matrix_init ~rows:n
-      ~width:(Cnfet.Pla.num_outputs (Cache.pla compiled))
-      (fun r o -> block_words.(r / lanes_per_word).(o) land (1 lsl (r mod lanes_per_word)) <> 0)
-  | Uncompiled pla ->
-    let rows =
-      map_blocks (fun ~first ~lanes ->
-          Array.init lanes (fun v -> Cnfet.Pla.eval pla (Wire.matrix_row batch (first + v))))
-      |> Array.to_list |> Array.concat
-    in
-    Wire.matrix_init ~rows:n ~width:(Cnfet.Pla.num_outputs pla) (fun r o -> rows.(r).(o))
+  let pla, block_words =
+    match engine with
+    | Compiled compiled ->
+      ( Cache.pla compiled,
+        map_blocks (fun ~first ~lanes ->
+            Cache.eval_block compiled
+              { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes }) )
+    | Uncompiled pla ->
+      ( pla,
+        map_blocks (fun ~first ~lanes ->
+            let words = Array.make (Cnfet.Pla.num_outputs pla) 0 in
+            for v = 0 to lanes - 1 do
+              Array.iteri
+                (fun o bit -> if bit then words.(o) <- words.(o) lor (1 lsl v))
+                (Cnfet.Pla.eval pla (Wire.matrix_row batch (first + v)))
+            done;
+            words) )
+  in
+  Wire.matrix_of_blocks ~rows:n ~width:(Cnfet.Pla.num_outputs pla) block_words
 
 (* Shared request wrapper: count, admit (or shed), cap the batch, and
    convert any per-request explosion to a typed error — the daemon and
@@ -212,19 +222,40 @@ let admitted t ~batch f =
       tick t "serve.request_crashes";
       One (Wire.Error_response { code = Wire.Internal; message = Printexc.to_string e }))
 
-(* Compile [cover] through the tenant's cache and evaluate the batch
-   through the bit-sliced path, timing the whole thing. *)
-let compile_and_eval t ~tenant ~batch ~n cover =
+let check_width ~n batch expected what =
+  if n > 0 && Wire.matrix_width batch <> expected then
+    raise
+      (Reject
+         ( Wire.Arity_mismatch,
+           Printf.sprintf "batch width %d, %s" (Wire.matrix_width batch) (what expected) ))
+
+(* Look the program up in the tenant cache's front table by [source].
+   A hit skips [miss] (parse, checks, cover hash); [on_hit] checks the
+   batch against the entry instead. A miss, or a rotten entry, runs
+   [miss] and takes the cover-keyed [evaluator] ladder. Then evaluate
+   the batch through the bit-sliced path. [eval_ns] times lookup and
+   evaluation only: [miss]'s own time, the parse, is left out. *)
+let compile_and_eval t ~tenant ~batch ~n ~source ~on_hit miss =
   let t0 = Unix.gettimeofday () in
-  let engine, cache_hit =
+  let engine, cache_hit, miss_s =
     Obs.Span.with_ ~args:[ ("tenant", tenant) ] "serve.compile" (fun () ->
-        evaluator t (Tenants.cache t.tenants tenant) cover)
+        let tcache = Tenants.cache t.tenants tenant in
+        match Cache.find_source tcache source with
+        | Some compiled ->
+          on_hit compiled;
+          (Compiled compiled, true, 0.)
+        | None | (exception Cache.Corrupt_entry _) ->
+          let m0 = Unix.gettimeofday () in
+          let cover = miss () in
+          let miss_s = Unix.gettimeofday () -. m0 in
+          let engine, hit = evaluator t tcache ~source cover in
+          (engine, hit, miss_s))
   in
   let outputs =
     Obs.Span.with_ ~args:[ ("vectors", string_of_int n) ] "serve.eval" (fun () ->
         eval_engine t engine batch)
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Unix.gettimeofday () -. t0 -. miss_s in
   observe t "serve.eval_latency_s" dt;
   bump t (fun s -> { s with vectors_evaluated = s.vectors_evaluated + n });
   (match t.metrics with Some m -> Metrics.incr_named ~by:n m "serve.vectors" | None -> ());
@@ -232,26 +263,23 @@ let compile_and_eval t ~tenant ~batch ~n cover =
 
 let process t ~tenant ~program ~batch =
   admitted t ~batch (fun n ->
-      let spec = parse_program program in
-      if n > 0 && Wire.matrix_width batch <> spec.Logic.Pla_io.n_in then
-        raise
-          (Reject
-             ( Wire.Arity_mismatch,
-               Printf.sprintf "batch width %d, program has %d inputs"
-                 (Wire.matrix_width batch) spec.Logic.Pla_io.n_in ));
-      compile_and_eval t ~tenant ~batch ~n spec.Logic.Pla_io.on_set)
+      let check_inputs n_in =
+        check_width ~n batch n_in (Printf.sprintf "program has %d inputs")
+      in
+      compile_and_eval t ~tenant ~batch ~n ~source:(program_source program)
+        ~on_hit:(fun compiled -> check_inputs (Cnfet.Pla.num_inputs (Cache.pla compiled)))
+        (fun () ->
+          let spec = parse_program program in
+          check_inputs spec.Logic.Pla_io.n_in;
+          spec.Logic.Pla_io.on_set))
 
 let process_classify t ~tenant ~model ~batch =
   admitted t ~batch (fun n ->
       let mapped = lookup_model model in
-      let n_features = mapped.Classify.Map.model.Classify.Model.n_features in
-      if n > 0 && Wire.matrix_width batch <> n_features then
-        raise
-          (Reject
-             ( Wire.Arity_mismatch,
-               Printf.sprintf "batch width %d, model has %d features"
-                 (Wire.matrix_width batch) n_features ));
-      compile_and_eval t ~tenant ~batch ~n mapped.Classify.Map.cover)
+      check_width ~n batch mapped.Classify.Map.model.Classify.Model.n_features
+        (Printf.sprintf "model has %d features");
+      compile_and_eval t ~tenant ~batch ~n ~source:(model_source model) ~on_hit:ignore
+        (fun () -> mapped.Classify.Map.cover))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions.                                                          *)
@@ -277,6 +305,16 @@ let write_reply t oc = function
         Wire.write_message oc (Wire.Eval_done { total = n; cache_hit; eval_ns }));
     bump t (fun s -> { s with responses_ok = s.responses_ok + 1 })
 
+(* [serve.read] is the wait for a whole frame, client idle included;
+   [serve.parse] is the decoding work alone. *)
+let read_request t ic =
+  match Obs.Span.with_ "serve.read" (fun () -> Wire.read_frame ~limit:t.cfg.max_frame ic) with
+  | `Frame payload -> (
+    match Obs.Span.with_ "serve.parse" (fun () -> Wire.decode_payload payload) with
+    | Ok msg -> `Msg msg
+    | Error e -> `Error e)
+  | (`Eof | `Error _) as r -> r
+
 let serve_session t ic oc =
   bump t (fun s ->
       { s with sessions_active = s.sessions_active + 1; sessions_total = s.sessions_total + 1 });
@@ -285,10 +323,7 @@ let serve_session t ic oc =
     try
       Obs.Span.with_ "serve.session" (fun () ->
           let rec loop () =
-            match
-              Obs.Span.with_ "serve.decode" (fun () ->
-                  Wire.read_message ~limit:t.cfg.max_frame ic)
-            with
+            match read_request t ic with
             | `Eof -> `Clean
             | `Error e ->
               (* framing is lost; tell the client why, then hang up *)

@@ -12,8 +12,14 @@
     daemon down: oversized frames, garbage bytes, mid-stream
     disconnects and poison programs all terminate or degrade only their
     own session, with the failure metered. Every stage is wrapped in an
-    {!Obs} span ([serve.session], [serve.decode], [serve.request],
-    [serve.admit], [serve.compile], [serve.eval], [serve.encode]). *)
+    {!Obs} span ([serve.session], [serve.read], [serve.parse],
+    [serve.admit], [serve.compile], [serve.eval], [serve.encode]).
+
+    A request whose program bytes (or classify model name) the tenant
+    cache has seen is served from {!Runtime.Cache.find_source} without
+    parsing the program or hashing its cover; every other request
+    parses and takes the cover-keyed lookup, which then aliases the
+    bytes to its entry. *)
 
 type config = {
   jobs : int option;  (** evaluation pool size; [None] = cores - 1 *)

@@ -89,12 +89,16 @@ let matrix_sub m ~first ~len =
   let stride = matrix_stride m.m_width in
   { m_rows = len; m_width = m.m_width; m_data = String.sub m.m_data (first * stride) (len * stride) }
 
+(* Rows per transposed block: the payload width of an OCaml int, the
+   [Runtime.Cache.block] layout. *)
+let block_lanes = 63
+
 (* Gather rows [first .. first+lanes-1] into transposed lane words —
    bit v of word c is row (first+v)'s column c — reading the packed
    bytes directly. This is the serve path's bridge into
    [Runtime.Cache.eval_block] with no bool-array round-trip. *)
 let matrix_block m ~first ~lanes =
-  if lanes < 0 || lanes > 63 || first < 0 || first + lanes > m.m_rows then
+  if lanes < 0 || lanes > block_lanes || first < 0 || first + lanes > m.m_rows then
     invalid_arg "Wire.matrix_block";
   let stride = matrix_stride m.m_width in
   let words = Array.make m.m_width 0 in
@@ -108,6 +112,31 @@ let matrix_block m ~first ~lanes =
     done
   done;
   words
+
+(* The inverse scatter: block b's words hold rows [63b ..], one word per
+   column. Each row byte gathers its (up to) 8 column bits in a register
+   and is written once. *)
+let matrix_of_blocks ~rows ~width blocks =
+  if rows < 0 || width < 0 || Array.length blocks <> (rows + block_lanes - 1) / block_lanes
+  then invalid_arg "Wire.matrix_of_blocks";
+  let stride = matrix_stride width in
+  let data = Bytes.make (rows * stride) '\000' in
+  Array.iteri
+    (fun b words ->
+      if Array.length words <> width then invalid_arg "Wire.matrix_of_blocks: block width";
+      let first = b * block_lanes in
+      for v = 0 to min block_lanes (rows - first) - 1 do
+        let base = (first + v) * stride in
+        for j = 0 to stride - 1 do
+          let byte = ref 0 in
+          for k = 0 to min 8 (width - (8 * j)) - 1 do
+            byte := !byte lor (((Array.unsafe_get words ((8 * j) + k) lsr v) land 1) lsl k)
+          done;
+          Bytes.unsafe_set data (base + j) (Char.unsafe_chr !byte)
+        done
+      done)
+    blocks;
+  { m_rows = rows; m_width = width; m_data = Bytes.unsafe_to_string data }
 
 type message =
   | Eval_request of { tenant : string; program : string; batch : matrix }
@@ -287,7 +316,7 @@ let matrix c =
   c.pos <- c.pos + (n * stride);
   { m_rows = n; m_width = width; m_data = data }
 
-let decode_payload payload =
+let parse_payload payload =
   let c = { buf = payload; limit = String.length payload; pos = 0 } in
   let m = u8 c in
   if m <> magic then raise (Fail (Bad_magic m));
@@ -339,7 +368,7 @@ let decode ?(limit = default_limit) s =
     let len = u32 c in
     if len > limit then raise (Fail (Oversized { length = len; limit }));
     let payload = str c len in
-    (decode_payload payload, c.pos)
+    (parse_payload payload, c.pos)
   with
   | v -> Ok v
   | exception Fail e -> Error e
@@ -361,7 +390,10 @@ let really_read ic n =
   in
   go 0
 
-let read_message ?(limit = default_limit) ic =
+let decode_payload payload =
+  match parse_payload payload with msg -> Ok msg | exception Fail e -> Error e
+
+let read_frame ?(limit = default_limit) ic =
   match
     match really_read ic header_bytes with
     | None -> `Eof
@@ -376,9 +408,15 @@ let read_message ?(limit = default_limit) ic =
       else begin
         match really_read ic len with
         | None -> `Error (Truncated { expected = len; got = 0 })
-        | Some payload -> `Msg (decode_payload payload)
+        | Some payload -> `Frame payload
       end
   with
   | r -> r
   | exception Fail e -> `Error e
   | exception End_of_file -> `Error (Truncated { expected = header_bytes; got = 0 })
+
+let read_message ?limit ic =
+  match read_frame ?limit ic with
+  | `Frame payload -> (
+    match decode_payload payload with Ok msg -> `Msg msg | Error e -> `Error e)
+  | (`Eof | `Error _) as r -> r

@@ -37,7 +37,7 @@ type matrix = private { m_rows : int; m_width : int; m_data : string }
     of [max 1 (ceil (m_width/8))] bytes each, bit [i] of a row in byte
     [i/8] at position [i mod 8] (LSB-first). Private so the
     length/stride invariant always holds; build with
-    {!matrix_of_vectors} or {!matrix_init}. *)
+    {!matrix_of_vectors}, {!matrix_init} or {!matrix_of_blocks}. *)
 
 val matrix_stride : int -> int
 (** Bytes per row at a given width: [max 1 (ceil (width/8))]. *)
@@ -67,6 +67,16 @@ val matrix_block : matrix -> first:int -> lanes:int -> int array
     result packs column [c] of rows [first .. first+lanes-1], row
     [first+v] in bit [v] — the {!Runtime.Cache.block} layout, read
     straight from the packed bytes. [lanes <= 63]. *)
+
+val matrix_of_blocks : rows:int -> width:int -> int array array -> matrix
+(** The inverse of {!matrix_block}: block [b] holds rows [63b] up to
+    [min rows (63b + 63) - 1], word [c] of it packing column [c] with
+    row [63b + v] in bit [v]; bits past the last row are ignored. So
+    [matrix_of_blocks ~rows ~width] over every block's [matrix_block]
+    rebuilds the matrix. This is how the server assembles a reply from
+    {!Runtime.Cache.eval_block}'s per-output lane words.
+    @raise Invalid_argument unless there are [ceil (rows / 63)] blocks
+    of [width] words each. *)
 
 type message =
   | Eval_request of {
@@ -141,4 +151,14 @@ val write_message : out_channel -> message -> unit
 val read_message : ?limit:int -> in_channel -> [ `Msg of message | `Eof | `Error of error ]
 (** Read one frame. [`Eof] only at a clean frame boundary; end-of-input
     mid-frame is [`Error (Truncated _)]. An [Oversized] length prefix is
-    reported without buffering the payload. *)
+    reported without buffering the payload. {!read_frame} then
+    {!decode_payload}. *)
+
+val read_frame : ?limit:int -> in_channel -> [ `Frame of string | `Eof | `Error of error ]
+(** The transport half of {!read_message}: block until one whole frame
+    has arrived and return its payload undecoded, with the same [`Eof]
+    and framing errors. *)
+
+val decode_payload : string -> (message, error) result
+(** The parsing half: decode one frame's payload (no length prefix).
+    Never raises. *)

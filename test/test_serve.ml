@@ -2,8 +2,11 @@
    edges the property battery can't pin down, happy-path serving with
    oracle-checked outputs, deterministic queue-full shedding, tenant
    quota eviction accounting, a client dying mid-stream while another
-   session keeps being served, and clean shutdown draining inflight
-   work. No sockets — every session runs on Unix.pipe pairs. *)
+   session keeps being served, clean shutdown draining inflight work,
+   reply assembly from lane words, and the program-bytes front key:
+   hits against a cover-keyed LRU reference model, its bound, and
+   rotten-entry recovery. No sockets — every session runs on Unix.pipe
+   pairs. *)
 
 module Wire = Serve.Wire
 module Server = Serve.Server
@@ -435,6 +438,290 @@ let test_disconnect_leaves_other_sessions_alive () =
   Server.stop server;
   checki "daemon survived: no worker crashes" 0 (Pool.crashes (Server.pool server))
 
+
+(* --- reply assembly ----------------------------------------------------------- *)
+
+let test_matrix_of_blocks_inverts_matrix_block () =
+  (* Scattering every block's gathered lane words back into row bytes
+     must rebuild the matrix exactly: width 0 keeps its 1-byte stride,
+     width 9 straddles a byte, and 64/127/200 rows end on a partial
+     block. *)
+  let rng = Util.Rng.create 16 in
+  let lanes = Runtime.Cache.lanes_per_word in
+  for width = 0 to 20 do
+    List.iter
+      (fun rows ->
+        let m =
+          Wire.matrix_of_vectors
+            (Array.init rows (fun _ -> Array.init width (fun _ -> Util.Rng.bool rng)))
+        in
+        (* an empty batch packs as 0x0; keep the width under test *)
+        let m = if rows = 0 then Wire.matrix_init ~rows ~width (fun _ _ -> false) else m in
+        let blocks =
+          Array.init ((rows + lanes - 1) / lanes) (fun b ->
+              let first = b * lanes in
+              Wire.matrix_block m ~first ~lanes:(min lanes (rows - first)))
+        in
+        checkb
+          (Printf.sprintf "width %d, %d rows" width rows)
+          true
+          (Wire.matrix_of_blocks ~rows ~width blocks = m))
+      [ 0; 1; 7; 62; 63; 64; 126; 127; 200; Util.Rng.int rng 201 ]
+  done;
+  match Wire.matrix_of_blocks ~rows:64 ~width:1 [| [| 0 |] |] with
+  | _ -> Alcotest.fail "a missing block must be refused"
+  | exception Invalid_argument _ -> ()
+
+(* --- front key: program bytes ------------------------------------------------ *)
+
+let oracle_rows cover batch = Array.map (Cnfet.Pla.eval (Cnfet.Pla.of_cover cover)) batch
+
+let check_reply what expected = function
+  | `Done (total, hit, chunks) ->
+    checki (what ^ ": total") (Array.length expected) total;
+    List.iter
+      (fun (first, outputs) ->
+        for i = 0 to Wire.matrix_rows outputs - 1 do
+          checkb (what ^ ": oracle") true (Wire.matrix_row outputs i = expected.(first + i))
+        done)
+      chunks;
+    hit
+  | `Error (_, message) -> Alcotest.fail (what ^ ": expected Done, got error " ^ message)
+  | `Shed -> Alcotest.fail (what ^ ": expected Done, got Overloaded")
+
+(* A text of [cover], varied by [kind] and [tag]: kinds 0-2 differ only
+   in comments and whitespace and parse to the same cover; kind 3
+   reverses the cubes, a different cover (and content key) unless it
+   has one cube. *)
+let variant cover ~kind ~tag =
+  let lines = String.split_on_char '\n' (pla_text cover) in
+  let is_cube l = l <> "" && l.[0] <> '.' in
+  match kind with
+  | 0 -> pla_text cover
+  | 1 -> Printf.sprintf "# variant %d\n%s" tag (pla_text cover)
+  | 2 ->
+    List.map
+      (fun l ->
+        if is_cube l then "  " ^ String.concat " \t " (String.split_on_char ' ' l) ^ "   "
+        else l)
+      lines
+    |> String.concat (if tag mod 2 = 0 then "\n" else "\n\n")
+  | _ ->
+    let cubes = List.filter is_cube lines in
+    let header = List.filter (fun l -> not (is_cube l) && l <> ".e") lines in
+    String.concat "\n" (header @ List.rev cubes @ [ ".e"; Printf.sprintf "# %d" tag ])
+
+let test_front_key_matches_cover_keyed_lru () =
+  (* Random eval/classify traffic over 3 tenants (2 tenant slots) and
+     more distinct covers than the 3-entry quota, so both tenant-LRU and
+     entry-LRU evictions happen. Every reply must match the oracle, and
+     every cache_hit flag must match a reference model of the
+     cover-keyed two-level LRU: byte keys change the cost of a hit, not
+     which requests hit. *)
+  let max_tenants = 2 and quota = 3 in
+  let server =
+    Server.create
+      {
+        small_config with
+        max_inflight = 4;
+        queue_limit = 8;
+        max_tenants;
+        tenant_quota = quota;
+        chunk_vectors = 50;
+        max_batch = 256;
+      }
+  in
+  let mapped = Classify.Map.lower Classify.Pretrained.model in
+  let n_features = mapped.Classify.Map.model.Classify.Model.n_features in
+  let covers =
+    [| Mcnc.Generators.xor_n 3; Mcnc.Generators.majority 3; Mcnc.Generators.gray ~bits:3 |]
+  in
+  (* reference model: tenants most recent first, each with its content
+     keys most recent first. Each key also remembers the last request
+     text that reached it, which predicts whether a hit came through the
+     front table (same text) or through the cover key (another text). *)
+  let tenants = ref [] in
+  let reference ~tenant ~text key =
+    let entries =
+      match List.assoc_opt tenant !tenants with
+      | Some e ->
+        tenants := (tenant, e) :: List.remove_assoc tenant !tenants;
+        e
+      | None ->
+        let e = ref [] in
+        tenants := (tenant, e) :: List.filteri (fun i _ -> i < max_tenants - 1) !tenants;
+        e
+    in
+    let found = List.assoc_opt key !entries in
+    let rest = List.remove_assoc key !entries in
+    let rest = if found = None then List.filteri (fun i _ -> i < quota - 1) rest else rest in
+    entries := (key, text) :: rest;
+    (found <> None, found = Some text)
+  in
+  let rng = Util.Rng.create 2008 in
+  let c = connect server in
+  let hits = ref 0 and front_hits = ref 0 and evicting = ref 0 in
+  (* skewed so that the hot tenant and covers repeat often enough to hit *)
+  let pick weights = weights.(Util.Rng.int rng (Array.length weights)) in
+  for i = 1 to 400 do
+    let tenant = pick [| "t0"; "t0"; "t0"; "t1"; "t1"; "t2" |] in
+    let n = Util.Rng.int rng 130 in
+    (* the request's own first step: touch (or create) its tenant *)
+    let tcache = Tenants.cache (Server.tenants server) tenant in
+    let evictions_before = Runtime.Cache.evictions tcache in
+    let got, expected, text, key =
+      if Util.Rng.int rng 5 = 0 then begin
+        (* classification shares the tenant cache under its own front key *)
+        let batch = Array.init n (fun _ -> Array.init n_features (fun _ -> Util.Rng.bool rng)) in
+        ( classify_request c ~tenant ~model:"default" ~batch,
+          oracle_rows mapped.Classify.Map.cover batch,
+          `Model "default",
+          Runtime.Cache.key_of_cover mapped.Classify.Map.cover )
+      end
+      else begin
+        let program =
+          if Util.Rng.int rng 10 = 0 then pla_text mapped.Classify.Map.cover
+          else
+            variant
+              covers.(pick [| 0; 0; 0; 1; 1; 2 |])
+              ~kind:(pick [| 0; 0; 0; 0; 1; 2; 3 |])
+              ~tag:(pick [| 0; 0; 0; 1; 2 |])
+        in
+        let spec = Logic.Pla_io.parse program in
+        let batch =
+          Array.init n (fun _ -> Array.init spec.Logic.Pla_io.n_in (fun _ -> Util.Rng.bool rng))
+        in
+        ( request c ~tenant ~program ~batch,
+          oracle_rows spec.Logic.Pla_io.on_set batch,
+          `Program program,
+          Runtime.Cache.key_of_cover spec.Logic.Pla_io.on_set )
+      end
+    in
+    let hit = check_reply (Printf.sprintf "request %d" i) expected got in
+    if Runtime.Cache.evictions tcache > evictions_before then incr evicting;
+    let expect_hit, via_front = reference ~tenant ~text key in
+    checkb (Printf.sprintf "request %d: cache_hit as the cover-keyed LRU" i) expect_hit hit;
+    if hit then incr hits;
+    if via_front then incr front_hits
+  done;
+  finish c;
+  Server.stop server;
+  let tenants = Server.tenants server in
+  checkb "front-table hits" true (!front_hits > 40);
+  checkb "hits through another text of the cover" true (!hits - !front_hits > 20);
+  checkb "some requests missed" true (!hits < 400);
+  checkb "tenant LRU evicted" true (Tenants.tenant_evictions tenants > 0);
+  checkb "entry LRU evicted" true (!evicting > 0);
+  List.iter
+    (fun (name, size) ->
+      let cache = Tenants.cache tenants name in
+      checkb "aliases bounded by entries" true (Runtime.Cache.aliases cache <= size))
+    (Tenants.stats tenants)
+
+let test_front_key_bounded () =
+  (* 10,000 distinct texts of one cover: each misses the front table,
+     hits the one cover entry and replaces its alias, so the front table
+     never holds more than that entry's one alias. *)
+  let server = Server.create { small_config with tenant_quota = 4 } in
+  let cover = Mcnc.Generators.majority 3 in
+  let batch = all_vectors 3 in
+  let expected = oracle_rows cover batch in
+  let c = connect server in
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  for i = 0 to 9_999 do
+    let program = Printf.sprintf "# text %d\n%s" i (pla_text cover) in
+    let hit = check_reply "distinct text" expected (request c ~tenant:"t" ~program ~batch) in
+    checkb "only the first text compiles" (i > 0) hit;
+    if Runtime.Cache.aliases cache > 1 then Alcotest.fail "front table grew past one alias"
+  done;
+  finish c;
+  Server.stop server;
+  checki "one cover entry" 1 (Runtime.Cache.size cache);
+  checki "one alias" 1 (Runtime.Cache.aliases cache);
+  checki "one compile" 1 (Runtime.Cache.misses cache)
+
+let test_cache_alias_lifecycle () =
+  let module Cache = Runtime.Cache in
+  let cache = Cache.create ~capacity:2 () in
+  let xor3 = Mcnc.Generators.xor_n 3 and maj3 = Mcnc.Generators.majority 3 in
+  checkb "unknown bytes miss without counting" true (Cache.find_source cache "a" = None);
+  checki "nothing counted" 0 (Cache.hits cache + Cache.misses cache);
+  ignore (Cache.compile_hit cache ~source:"a" xor3 : Cache.compiled * bool);
+  checkb "aliased" true (Cache.find_source cache "a" <> None);
+  checki "front hit counted" 1 (Cache.hits cache);
+  (* a second text of the same cover moves the entry's one alias *)
+  checkb "cover hit" true (snd (Cache.compile_hit cache ~source:"b" xor3));
+  checkb "old alias dropped" true (Cache.find_source cache "a" = None);
+  checki "one alias" 1 (Cache.aliases cache);
+  (* entry eviction takes the alias with it *)
+  let gray3 = Mcnc.Generators.gray ~bits:3 in
+  ignore (Cache.compile_hit cache ~source:"c" maj3 : Cache.compiled * bool);
+  ignore (Cache.compile_hit cache ~source:"d" gray3 : Cache.compiled * bool);
+  checkb "evicted entry's alias gone" true (Cache.find_source cache "b" = None);
+  checki "aliases follow entries" 2 (Cache.aliases cache);
+  (* a rotten entry reached through the front is evicted with its alias *)
+  (match Cache.find_source cache "c" with
+  | Some compiled -> Cache.corrupt_for_test compiled
+  | None -> Alcotest.fail "expected c aliased");
+  (match Cache.find_source cache "c" with
+  | _ -> Alcotest.fail "expected Corrupt_entry"
+  | exception Cache.Corrupt_entry _ -> ());
+  checki "corruption counted" 1 (Cache.corruptions cache);
+  checkb "rotten alias gone" true (Cache.find_source cache "c" = None);
+  checki "one entry left" 1 (Cache.size cache);
+  checkb "recompiles" false (snd (Cache.compile_hit cache ~source:"c" maj3))
+
+(* --- rotten entries behind the front key -------------------------------------- *)
+
+let test_rotten_front_entry_recompiles () =
+  let server = Server.create { small_config with tenant_quota = 4 } in
+  let cover = Mcnc.Generators.gray ~bits:3 in
+  let program = pla_text cover and batch = all_vectors 3 in
+  let parsed = (Logic.Pla_io.parse program).Logic.Pla_io.on_set in
+  let expected = oracle_rows cover batch in
+  let c = connect server in
+  let send what = check_reply what expected (request c ~tenant:"t" ~program ~batch) in
+  checkb "first request compiles" false (send "first");
+  checkb "same bytes hit" true (send "second");
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  Runtime.Cache.corrupt_for_test (Runtime.Cache.compile cache parsed);
+  let misses = Runtime.Cache.misses cache in
+  (* the front hit must verify the checksum: a rotten entry is evicted
+     with its alias and the request recompiles, oracle-correct *)
+  checkb "rotten entry is not served as a hit" false (send "after rot");
+  checki "corruption counted" 1 (Runtime.Cache.corruptions cache);
+  checki "recompiled" (misses + 1) (Runtime.Cache.misses cache);
+  checki "rotten entry and alias replaced, not duplicated" 1 (Runtime.Cache.aliases cache);
+  checkb "the fresh entry hits" true (send "after recompile");
+  finish c;
+  Server.stop server;
+  checki "no fallback needed" 0 (Server.stats server).Server.fallback_evals
+
+let test_rotten_store_falls_back_uncompiled () =
+  (* Every store rots: the cover key fails twice and the plane-content
+     key once, so the request is served uncompiled, still exact, and
+     nothing rotten is left aliased. *)
+  let server = Server.create { small_config with tenant_quota = 4; max_batch = 256 } in
+  let cover = Mcnc.Generators.gray ~bits:3 in
+  let program = pla_text cover in
+  let batch = Array.init 100 (fun i -> (all_vectors 3).(i mod 8)) in
+  let expected = oracle_rows cover batch in
+  let c = connect server in
+  let hit =
+    Fault.Inject.with_armed ~seed:1 { Fault.Inject.nothing with cache_corrupt = 1.0 } (fun _ ->
+        check_reply "fallback" expected (request c ~tenant:"t" ~program ~batch))
+  in
+  checkb "fallback is no hit" false hit;
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  checki "one fallback eval" 1 (Server.stats server).Server.fallback_evals;
+  checki "three rotten stores caught" 3 (Runtime.Cache.corruptions cache);
+  checki "nothing aliased" 0 (Runtime.Cache.aliases cache);
+  (* disarmed again: the same bytes compile cleanly *)
+  checkb "recompiles once healthy" false
+    (check_reply "healthy" expected (request c ~tenant:"t" ~program ~batch));
+  finish c;
+  Server.stop server
+
 let () =
   Alcotest.run "serve"
     [
@@ -463,6 +750,22 @@ let () =
         [
           Alcotest.test_case "entry quota eviction metered" `Quick test_tenant_quota_entry_eviction;
           Alcotest.test_case "tenant LRU eviction metered" `Quick test_tenant_lru_eviction_metered;
+        ] );
+      ( "reply",
+        [
+          Alcotest.test_case "matrix_of_blocks inverts matrix_block" `Quick
+            test_matrix_of_blocks_inverts_matrix_block;
+        ] );
+      ( "front key",
+        [
+          Alcotest.test_case "hits match the cover-keyed LRU" `Quick
+            test_front_key_matches_cover_keyed_lru;
+          Alcotest.test_case "10,000 texts of one cover stay bounded" `Quick test_front_key_bounded;
+          Alcotest.test_case "alias lifecycle" `Quick test_cache_alias_lifecycle;
+          Alcotest.test_case "rotten front entry recompiles" `Quick
+            test_rotten_front_entry_recompiles;
+          Alcotest.test_case "rotten stores fall back uncompiled" `Quick
+            test_rotten_store_falls_back_uncompiled;
         ] );
       ( "supervision",
         [
