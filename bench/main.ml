@@ -8,17 +8,15 @@
 
    Sections: fig1 fig2 fig3_4 fig3_physical table1 table1_pipeline
              table1_delay variation table2 wires phase wpla yield
-             yield_columns waveform cascade factored mapping fsm exact_gap
-             ablation_crossover ablation_shrink ablation_tracks
-             ablation_sharing parallel espresso micro
+             yield_columns yield_xbar atpg folding waveform cascade
+             factored mapping fsm exact_gap ablation_crossover
+             ablation_shrink ablation_tracks ablation_sharing micro
 
-   The --quick flag shortens the espresso section's measurement windows
-   (the CI smoke mode: dune exec bench/main.exe -- --quick espresso).
    --trace FILE records tracing spans across the selected sections and
-   writes them as Chrome trace-event JSON (chrome://tracing, Perfetto).
-   --run-out DIR makes the measured sections (parallel, espresso) emit
-   Assess.Run artifacts for `cnfet_tool bench-ab`; --repeats N samples
-   each of those sections N times into the run's metric series. *)
+   writes them as Chrome trace-event JSON (chrome://tracing, Perfetto),
+   through the same Runtime.Instrument wrapper as cnfet_tool. The
+   measured runs with Assess.Run artifacts live in cnfet_tool:
+   bench-parallel, bench-espresso and sweep. *)
 
 let section name description =
   Printf.printf "\n================================================================\n";
@@ -981,164 +979,7 @@ let run_exact_gap () =
   Util.Tableau.print t;
   Printf.printf "total gap over %d instances: %d cubes\n" !n_cases !total_gap
 
-(* --- parallel: the lib/runtime batch-evaluation engine ------------------------------------------ *)
-
-(* Measured sections double as Assess profiles: with --run-out DIR each
-   emits its scalars as an Assess.Run artifact next to the BENCH_*.json
-   derived view, so `cnfet_tool bench-ab` can compare any two harness
-   invocations. *)
-let run_out_dir = ref None
-let assess_repeats = ref 1
-
-let save_assess_run arun =
-  match !run_out_dir with
-  | None -> ()
-  | Some dir -> (
-    match Assess.Run.save ~dir arun with
-    | Ok path -> Printf.printf "assess run: %s\n" path
-    | Error e ->
-      Printf.eprintf "cannot write assess run: %s\n" (Assess.Run.error_to_string e);
-      exit 1)
-
-let run_parallel () =
-  section "parallel"
-    "Sequential vs parallel batch evaluation (lib/runtime: pool + batch + cache + metrics)";
-  let jobs =
-    match Sys.getenv_opt "CNFET_BENCH_JOBS" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> Runtime.Pool.default_jobs ())
-    | None -> Runtime.Pool.default_jobs ()
-  in
-  let metrics = Runtime.Metrics.create () in
-  let cache = Runtime.Cache.create () in
-  Printf.printf "worker domains: %d (recommended for this machine: %d)\n%!" jobs
-    (Domain.recommended_domain_count ());
-  let reports, arun =
-    Runtime.Bench.run_assess ~metrics ~cache ~seed:2008 ~trials:1000
-      ~repeats:!assess_repeats ~jobs ()
-  in
-  save_assess_run arun;
-  let t =
-    Util.Tableau.create [ "workload"; "items"; "sequential (s)"; "parallel (s)"; "speedup"; "identical" ]
-  in
-  List.iter
-    (fun r ->
-      Util.Tableau.add_row t
-        [
-          r.Runtime.Bench.name;
-          string_of_int r.Runtime.Bench.items;
-          Printf.sprintf "%.3f" r.Runtime.Bench.seq_s;
-          Printf.sprintf "%.3f" r.Runtime.Bench.par_s;
-          Printf.sprintf "%.2fx" r.Runtime.Bench.speedup;
-          string_of_bool r.Runtime.Bench.identical;
-        ])
-    reports;
-  Util.Tableau.print t;
-  Printf.printf "cache: %d hits / %d misses (hit rate %.1f%%, %d entries)\n"
-    (Runtime.Cache.hits cache) (Runtime.Cache.misses cache)
-    (100.0 *. Runtime.Cache.hit_rate cache)
-    (Runtime.Cache.size cache);
-  let path = "BENCH_runtime.json" in
-  Runtime.Bench.write_json ~cache ~metrics ~jobs ~path reports;
-  Printf.printf "machine-readable results -> %s\n" path;
-  print_endline
-    "Fan-out is chunked and merged by submission index, so the parallel\n\
-     column is bit-identical to the sequential one; speedup tracks the\n\
-     worker-domain count on multicore hosts (a single-core container\n\
-     reports ~1x). Set CNFET_BENCH_JOBS to override the domain count."
-
-(* --- espresso: the word-parallel cover kernel --------------------------------------------------- *)
-
-let quick_mode = ref false
-
-let run_espresso () =
-  section "espresso"
-    "Word-parallel packed cover kernel vs naive reference (minimize, set ops, compiled eval)";
-  let quick = !quick_mode in
-  let metrics = Runtime.Metrics.create () in
-  let reports, arun =
-    Runtime.Bench_espresso.run_assess ~metrics ~quick ~seed:2008 ~repeats:!assess_repeats ()
-  in
-  save_assess_run arun;
-  let t =
-    Util.Tableau.create
-      [ "function"; "in/out"; "cubes"; "minimize (s)"; "packed Mop/s"; "naive Mop/s"; "speedup"; "eval Meval/s"; "block Meval/s"; "block speedup"; "identical" ]
-  in
-  List.iter
-    (fun r ->
-      Util.Tableau.add_row t
-        [
-          r.Runtime.Bench_espresso.name;
-          Printf.sprintf "%d/%d" r.Runtime.Bench_espresso.n_in r.Runtime.Bench_espresso.n_out;
-          Printf.sprintf "%d->%d" r.Runtime.Bench_espresso.cubes_before
-            r.Runtime.Bench_espresso.cubes_after;
-          Printf.sprintf "%.4f" r.Runtime.Bench_espresso.minimize_s;
-          Printf.sprintf "%.2f" r.Runtime.Bench_espresso.packed_mops;
-          Printf.sprintf "%.2f" r.Runtime.Bench_espresso.naive_mops;
-          Printf.sprintf "%.2fx" r.Runtime.Bench_espresso.op_speedup;
-          Printf.sprintf "%.2f" r.Runtime.Bench_espresso.eval_mevals;
-          Printf.sprintf "%.2f" r.Runtime.Bench_espresso.eval_block_mevals;
-          Printf.sprintf "%.2fx" r.Runtime.Bench_espresso.block_speedup;
-          string_of_bool
-            (r.Runtime.Bench_espresso.identical
-            && r.Runtime.Bench_espresso.block_identical);
-        ])
-    reports;
-  Util.Tableau.print t;
-  Printf.printf "packed-vs-naive op speedup (geomean): %.2fx\n"
-    (Runtime.Bench_espresso.geomean_speedup reports);
-  Printf.printf "blocked-vs-scalar eval speedup (geomean): %.2fx\n"
-    (Runtime.Bench_espresso.geomean_block_speedup reports);
-  let path = "BENCH_espresso.json" in
-  Runtime.Bench_espresso.write_json ~quick ~seed:2008 ~path reports;
-  Printf.printf "machine-readable results -> %s\n" path;
-  print_endline
-    "Both kernels run the same all-pairs contains/distance/intersect/\n\
-     supercube workload and must produce identical checksums; the speedup\n\
-     column is the bit-packing win. Pass --quick for the short CI windows."
-
 (* --- Bechamel micro-benchmarks ------------------------------------------------------------------ *)
-
-(* --- sweep: population-scale staged pipeline --------------------------------------------------- *)
-
-let run_sweep () =
-  section "sweep"
-    "Population-scale silicon sweep (lib/sweep: staged pipeline sharded over the domain pool)";
-  let config =
-    if !quick_mode then Sweep.Drive.quick
-    else { Sweep.Drive.default with profiles = 96; jobs = Runtime.Pool.default_jobs () }
-  in
-  let metrics = Runtime.Metrics.create () in
-  let t0 = Unix.gettimeofday () in
-  let last = ref None in
-  let per_repeat =
-    List.init !assess_repeats (fun _ ->
-        let r = Sweep.Drive.run ~metrics config in
-        last := Some r;
-        Sweep.Report.to_metrics r)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let r = Option.get !last in
-  print_string (Sweep.Report.summary r);
-  let arun =
-    Assess.Run.create ~profile:"sweep" ~seed:config.Sweep.Drive.seed ~wall_s
-      ~meta:
-        [
-          ("jobs", string_of_int config.Sweep.Drive.jobs);
-          ("profiles", string_of_int config.Sweep.Drive.profiles);
-          ("quick", string_of_bool !quick_mode);
-          ("repeats", string_of_int !assess_repeats);
-        ]
-      (Sweep.Report.merge_metrics per_repeat)
-  in
-  save_assess_run arun;
-  let path = "BENCH_sweep.json" in
-  Sweep.Report.write ~path (Sweep.Report.bench_json r);
-  Printf.printf "machine-readable results -> %s\n" path;
-  print_endline
-    "Every item derives its random streams from (seed, salt, index), so the\n\
-     population - and the area/frequency/yield Pareto fronts above - are\n\
-     bit-identical at any worker-domain count; only the latency columns\n\
-     move between machines."
 
 let run_micro () =
   section "micro" "Bechamel micro-benchmarks of the core algorithms";
@@ -1236,9 +1077,6 @@ let sections =
     ("ablation_shrink", run_ablation_shrink);
     ("ablation_tracks", run_ablation_tracks);
     ("ablation_sharing", run_ablation_sharing);
-    ("parallel", run_parallel);
-    ("espresso", run_espresso);
-    ("sweep", run_sweep);
     ("micro", run_micro);
   ]
 
@@ -1258,53 +1096,23 @@ let rec extract_opt flag = function
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let trace, args = extract_opt "--trace" args in
-  let run_out, args = extract_opt "--run-out" args in
-  let repeats, args = extract_opt "--repeats" args in
-  run_out_dir := run_out;
-  (match repeats with
-  | None -> ()
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> assess_repeats := n
-    | _ ->
-      Printf.eprintf "--repeats needs a positive integer, got %S\n" s;
-      exit 2));
-  let names = List.filter (fun a -> a <> "--quick") args in
-  quick_mode := List.mem "--quick" args;
-  let collector =
-    match trace with
-    | None -> None
-    | Some path ->
-      let t = Obs.Trace.create () in
-      Obs.Trace.install t;
-      Some (t, path)
-  in
+  let trace, names = extract_opt "--trace" args in
   let requested =
     match names with
     | _ :: _ -> names
     | [] -> List.map fst sections
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some run -> Obs.Span.with_ ~args:[ ("section", name) ] "bench.section" run
-      | None ->
-        Printf.eprintf "unknown section %S; available: %s\n" name
-          (String.concat " " (List.map fst sections));
-        exit 2)
-    requested;
-  (match collector with
-  | None -> ()
-  | Some (t, path) ->
-    Obs.Trace.uninstall ();
-    let events = Obs.Trace.events t in
-    let oc = open_out path in
-    output_string oc (Obs.Export.to_chrome_json events);
-    close_out oc;
-    Printf.printf "\ntrace: %d events (%d dropped); subsystems: %s -> %s\n"
-      (List.length events) (Obs.Trace.dropped t)
-      (String.concat ", " (Obs.Export.subsystems events))
-      path;
-    print_string (Obs.Export.text_profile events));
-  print_newline ()
+  let run_sections () =
+    List.iter
+      (fun name ->
+        match List.assoc_opt name sections with
+        | Some run -> Obs.Span.with_ ~args:[ ("section", name) ] "bench.section" run
+        | None ->
+          Printf.eprintf "unknown section %S; available: %s\n" name
+            (String.concat " " (List.map fst sections));
+          exit 2)
+      requested;
+    print_newline ();
+    0
+  in
+  exit (Runtime.Instrument.run { Runtime.Instrument.trace; metrics = false } run_sections)

@@ -13,8 +13,17 @@
      bench-parallel — sequential vs parallel batch-evaluation benchmark
      bench-espresso — word-parallel cover kernel + minimization benchmark
      bench-ab  — compare two Assess.Run artifacts, exit non-zero on regression
+     sweep     — population-scale silicon sweep with Pareto fronts
+     classify  — degradation envelope of the crossbar classifier
+     fuzz      — property fuzzing with shrinking and a corpus
+     chaos     — fault injection through the detect/repair/re-verify loop
      serve     — the evaluation service daemon (socket or stdin/stdout pipe)
-     loadgen   — closed-loop load generator + oracle checker for serve *)
+     loadgen   — closed-loop load generator + oracle checker for serve
+
+   The measured commands share their --trace/--metrics and
+   --run-out/--repeats flags as two terms, run through
+   Runtime.Instrument.run and write every output file through
+   Runtime.Instrument.write. *)
 
 open Cmdliner
 
@@ -30,7 +39,7 @@ let pla_file =
 
 let exits = Cmd.Exit.defaults
 
-(* --- shared --trace support -------------------------------------------------- *)
+(* --- shared instrumentation flags ---------------------------------------------- *)
 
 let trace_arg =
   let doc =
@@ -41,32 +50,15 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-(* Install a process-wide collector around [f], then flush it: Chrome JSON
-   to [path], text profile + span summary to stdout. The collector is
-   uninstalled (and the file written) whether [f] returns or raises. *)
-let with_tracing trace f =
-  match trace with
-  | None -> f ()
-  | Some path ->
-    let t = Obs.Trace.create () in
-    Obs.Trace.set_observer t (fun ~name ~dur_s ->
-        Runtime.Metrics.span_observer Runtime.Metrics.global ~name ~dur_s);
-    Obs.Trace.install t;
-    let flush () =
-      Obs.Trace.uninstall ();
-      let events = Obs.Trace.events t in
-      let oc = open_out path in
-      output_string oc (Obs.Export.to_chrome_json events);
-      close_out oc;
-      Printf.printf "trace: %d events on %d track(s), %d dropped; subsystems: %s\n"
-        (List.length events) (Obs.Trace.tracks t) (Obs.Trace.dropped t)
-        (String.concat ", " (Obs.Export.subsystems events));
-      Printf.printf "trace written to %s\n" path;
-      print_string (Obs.Export.text_profile events)
+let instrument_term =
+  let metrics =
+    let doc =
+      "Dump the metrics registry (counters, gauges, latency histograms, and the \
+       $(b,span.)* histograms of a $(b,--trace) run) after the run."
     in
-    Fun.protect ~finally:flush f
-
-(* --- shared assess-run emission ---------------------------------------------- *)
+    Arg.(value & flag & info [ "metrics"; "show-metrics" ] ~doc)
+  in
+  Term.(const (fun trace metrics -> { Runtime.Instrument.trace; metrics }) $ trace_arg $ metrics)
 
 let run_out_arg =
   let doc =
@@ -76,24 +68,21 @@ let run_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "run-out" ] ~docv:"DIR" ~doc)
 
-let repeats_arg =
-  let doc =
-    "Repeat the whole measurement $(docv) times and record every repeat as a \
-     sample in the metric series (>= 3 recommended before trusting an A/B \
-     verdict's confidence interval)."
-  in
-  Arg.(value & opt int 1 & info [ "repeats" ] ~docv:"N" ~doc)
+type assess = { run_out : string option; repeats : int }
 
-(* Save [arun] under [dir] and print where it went; a failed save is a
-   hard error (the caller usually feeds the path into a CI gate). *)
-let save_assess_run ~dir arun =
-  match Assess.Run.save ~dir arun with
-  | Ok path ->
-    Printf.printf "assess run: %s\n" path;
-    false
-  | Error e ->
-    Printf.eprintf "cnfet_tool: cannot write assess run: %s\n" (Assess.Run.error_to_string e);
-    true
+let assess_term =
+  let repeats =
+    let doc =
+      "Repeat the whole measurement $(docv) times and record every repeat as a \
+       sample in the metric series (>= 3 recommended before trusting an A/B \
+       verdict's confidence interval)."
+    in
+    Arg.(value & opt int 1 & info [ "repeats" ] ~docv:"N" ~doc)
+  in
+  Term.(const (fun run_out repeats -> { run_out; repeats }) $ run_out_arg $ repeats)
+
+(* The file body of JSON view [view x], rendered only when a path asks for it. *)
+let json_file view x () = Assess.Json.to_string ~indent:2 (view x) ^ "\n"
 
 (* --- minimize ---------------------------------------------------------------- *)
 
@@ -117,13 +106,14 @@ let minimize_cmd =
             (Logic.Cover.empty ~n_in:spec.Logic.Pla_io.n_in ~n_out:spec.Logic.Pla_io.n_out)
           ()
       in
-      (match output with
-      | None -> print_string text
-      | Some out ->
-        let oc = open_out out in
-        output_string oc text;
-        close_out oc);
-      0
+      if output = None then begin
+        print_string text;
+        0
+      end
+      else if
+        Runtime.Instrument.write ~report:stderr ~what:"minimized cover" output (fun () -> text)
+      then 0
+      else 1
   in
   let output =
     let doc = "Write the minimized cover to $(docv) instead of stdout." in
@@ -356,51 +346,36 @@ let yield_cmd =
 (* --- bench-parallel ------------------------------------------------------ *)
 
 let bench_parallel_cmd =
-  let run jobs trials seed repeats run_out show_metrics out trace =
+  let run jobs trials seed assess out inst =
     if trials < 1 then begin
       prerr_endline "cnfet_tool: --trials must be at least 1";
       2
     end
-    else begin
-      with_tracing trace @@ fun () ->
+    else
+      Runtime.Instrument.run inst @@ fun () ->
       let jobs = match jobs with Some n -> max 1 n | None -> Runtime.Pool.default_jobs () in
       let metrics = Runtime.Metrics.global in
       let cache = Runtime.Cache.create () in
       Printf.printf "parallel batch-evaluation benchmark: %d job(s), %d yield trials, %d repeat(s)\n%!"
-        jobs trials repeats;
+        jobs trials assess.repeats;
       let reports, arun =
-        Runtime.Bench.run_assess ~metrics ~cache ~seed ~trials ~repeats ~jobs ()
+        Runtime.Bench.run_assess ~metrics ~cache ~seed ~trials ~repeats:assess.repeats ~jobs ()
       in
       List.iter (fun r -> Format.printf "%a@." Runtime.Bench.pp_report r) reports;
-      let run_failed =
-        match run_out with None -> false | Some dir -> save_assess_run ~dir arun
-      in
+      let saved = Runtime.Instrument.save_run assess.run_out arun in
       Printf.printf "cache: %d hits / %d misses (hit rate %.1f%%)\n" (Runtime.Cache.hits cache)
         (Runtime.Cache.misses cache)
         (100.0 *. Runtime.Cache.hit_rate cache);
-      let write_failed =
-        match out with
-        | None -> false
-        | Some path -> (
-          try
-            Runtime.Bench.write_json ~cache ~metrics ~jobs ~path reports;
-            Printf.printf "wrote %s\n" path;
-            false
-          with Sys_error msg ->
-            Printf.eprintf "cnfet_tool: cannot write results: %s\n" msg;
-            true)
+      let written =
+        Runtime.Instrument.write ~what:"results" out (fun () ->
+            Runtime.Bench.to_json ~cache ~metrics ~jobs reports)
       in
-      if show_metrics then begin
-        print_endline "--- metrics ---";
-        print_string (Runtime.Metrics.dump metrics)
-      end;
-      if write_failed || run_failed then 1
+      if not (saved && written) then 1
       else if List.for_all (fun r -> r.Runtime.Bench.identical) reports then 0
       else begin
         prerr_endline "ERROR: parallel results diverged from sequential";
         1
       end
-    end
   in
   let jobs =
     let doc = "Worker domains (default: recommended for this machine)." in
@@ -414,10 +389,6 @@ let bench_parallel_cmd =
     let doc = "Random seed for the Monte-Carlo workloads." in
     Arg.(value & opt int 2008 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry (counters, gauges, latency histograms) after the run." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
   let out =
     let doc = "Write machine-readable results to $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE.json" ~doc)
@@ -425,23 +396,21 @@ let bench_parallel_cmd =
   let doc = "Benchmark the parallel batch-evaluation engine against the sequential path" in
   Cmd.v
     (Cmd.info "bench-parallel" ~doc ~exits)
-    Term.(
-      const run $ jobs $ trials $ seed $ repeats_arg $ run_out_arg $ show_metrics $ out
-      $ trace_arg)
+    Term.(const run $ jobs $ trials $ seed $ assess_term $ out $ instrument_term)
 
 (* --- bench-espresso ------------------------------------------------------ *)
 
 let bench_espresso_cmd =
-  let run quick seed repeats run_out show_metrics out trace =
-    with_tracing trace @@ fun () ->
+  let run quick seed assess out inst =
+    Runtime.Instrument.run inst @@ fun () ->
     let metrics = Runtime.Metrics.global in
     Printf.printf "espresso + cover-kernel benchmark%s (seed %d, %d repeat(s))\n%!"
       (if quick then " (quick)" else "")
-      seed repeats;
-    let reports, arun = Runtime.Bench_espresso.run_assess ~metrics ~quick ~seed ~repeats () in
-    let run_failed =
-      match run_out with None -> false | Some dir -> save_assess_run ~dir arun
+      seed assess.repeats;
+    let reports, arun =
+      Runtime.Bench_espresso.run_assess ~metrics ~quick ~seed ~repeats:assess.repeats ()
     in
+    let saved = Runtime.Instrument.save_run assess.run_out arun in
     List.iter (fun r -> Format.printf "%a@." Runtime.Bench_espresso.pp_report r) reports;
     Printf.printf "packed-vs-naive op speedup (geomean): %.2fx\n"
       (Runtime.Bench_espresso.geomean_speedup reports);
@@ -450,20 +419,11 @@ let bench_espresso_cmd =
     let hw_ok = Runtime.Bench_espresso.hw_crosscheck () in
     Printf.printf "switch-level cross-check (cmp2): %s\n"
       (if hw_ok then "ok" else "MISMATCH");
-    let write_failed =
-      try
-        Runtime.Bench_espresso.write_json ~quick ~seed ~path:out reports;
-        Printf.printf "wrote %s\n" out;
-        false
-      with Sys_error msg ->
-        Printf.eprintf "cnfet_tool: cannot write results: %s\n" msg;
-        true
+    let written =
+      Runtime.Instrument.write ~what:"results" (Some out) (fun () ->
+          Runtime.Bench_espresso.to_json ~quick ~seed reports)
     in
-    if show_metrics then begin
-      print_endline "--- metrics ---";
-      print_string (Runtime.Metrics.dump metrics)
-    end;
-    if write_failed || run_failed then 1
+    if not (saved && written) then 1
     else if not hw_ok then begin
       prerr_endline "ERROR: switch-level simulation diverged from the compiled evaluator";
       1
@@ -489,10 +449,6 @@ let bench_espresso_cmd =
     let doc = "Random seed for the synthetic workloads and eval minterms." in
     Arg.(value & opt int 2008 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry (counters, gauges, latency histograms) after the run." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
   let out =
     let doc = "Write machine-readable results to $(docv)." in
     Arg.(value & opt string "BENCH_espresso.json" & info [ "out" ] ~docv:"FILE.json" ~doc)
@@ -500,7 +456,7 @@ let bench_espresso_cmd =
   let doc = "Benchmark the word-parallel cover kernel and espresso minimization" in
   Cmd.v
     (Cmd.info "bench-espresso" ~doc ~exits)
-    Term.(const run $ quick $ seed $ repeats_arg $ run_out_arg $ show_metrics $ out $ trace_arg)
+    Term.(const run $ quick $ seed $ assess_term $ out $ instrument_term)
 
 (* --- bench-ab ------------------------------------------------------------- *)
 
@@ -536,19 +492,8 @@ let bench_ab_cmd =
       in
       let report = Assess.Ab.compare ?min_floor ?floor_mult ~seed ~filter a b in
       Format.printf "%a" Assess.Ab.pp report;
-      let write_failed =
-        match out with
-        | None -> false
-        | Some path -> (
-          try
-            let oc = open_out path in
-            output_string oc (Assess.Ab.to_json report);
-            close_out oc;
-            Printf.printf "report written to %s\n" path;
-            false
-          with Sys_error msg ->
-            Printf.eprintf "cnfet_tool: cannot write report: %s\n" msg;
-            true)
+      let written =
+        Runtime.Instrument.write ~what:"report" out (fun () -> Assess.Ab.to_json report)
       in
       if List.for_all (fun (m : Assess.Ab.metric_result) -> Result.is_error m.Assess.Ab.result)
            report.Assess.Ab.metrics
@@ -564,7 +509,7 @@ let bench_ab_cmd =
           (String.concat ", " (Assess.Ab.regressed report));
         1
       end
-      else if write_failed then 1
+      else if not written then 1
       else 0
   in
   let path_a =
@@ -609,9 +554,8 @@ let bench_ab_cmd =
 (* --- sweep ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run quick profiles seed jobs window checkpoint out front_out det_out strict repeats
-      run_out show_metrics trace =
-    with_tracing trace @@ fun () ->
+  let run quick profiles seed jobs window checkpoint out front_out det_out strict assess inst =
+    Runtime.Instrument.run inst @@ fun () ->
     let base = if quick then Sweep.Drive.quick else Sweep.Drive.default in
     let config =
       {
@@ -623,8 +567,8 @@ let sweep_cmd =
         checkpoint;
       }
     in
-    let metrics = Runtime.Metrics.create () in
-    let repeats = max 1 repeats in
+    let metrics = Runtime.Metrics.global in
+    let repeats = max 1 assess.repeats in
     let t0 = Unix.gettimeofday () in
     let last = ref None in
     let per_repeat =
@@ -639,22 +583,12 @@ let sweep_cmd =
     let wall_s = Unix.gettimeofday () -. t0 in
     let r = Option.get !last in
     print_string (Sweep.Report.summary r);
-    (match out with
-    | Some path ->
-      Sweep.Report.write ~path (Sweep.Report.bench_json r);
-      Printf.printf "bench view written to %s\n" path
-    | None -> ());
-    (match front_out with
-    | Some path ->
-      Sweep.Report.write ~path (Sweep.Report.front_json r);
-      Printf.printf "fronts written to %s\n" path
-    | None -> ());
-    (match det_out with
-    | Some path ->
-      Sweep.Report.write ~path (Sweep.Report.deterministic_json r);
-      Printf.printf "population written to %s\n" path
-    | None -> ());
-    if show_metrics then print_string (Runtime.Metrics.dump metrics);
+    let write = Runtime.Instrument.write in
+    let bench_ok = write ~what:"bench view" out (json_file Sweep.Report.bench_json r) in
+    let front_ok = write ~what:"fronts" front_out (json_file Sweep.Report.front_json r) in
+    let det_ok =
+      write ~what:"population" det_out (json_file Sweep.Report.deterministic_json r)
+    in
     let profile = if quick then "sweep-quick" else "sweep" in
     let arun =
       Assess.Run.create ~profile ~seed ~wall_s
@@ -667,14 +601,12 @@ let sweep_cmd =
           ]
         (Sweep.Report.merge_metrics per_repeat)
     in
-    let save_failed =
-      match run_out with None -> false | Some dir -> save_assess_run ~dir arun
-    in
+    let saved = Runtime.Instrument.save_run assess.run_out arun in
     let failed = r.Sweep.Drive.r_failures <> [] in
     if failed then
       Printf.eprintf "cnfet_tool sweep: %d item(s) failed\n"
         (List.length r.Sweep.Drive.r_failures);
-    if save_failed || (strict && failed) then 1 else 0
+    if not (bench_ok && front_ok && det_ok && saved) || (strict && failed) then 1 else 0
   in
   let quick =
     let doc = "Quick population: 8 profiles over the small space." in
@@ -730,10 +662,6 @@ let sweep_cmd =
     let doc = "Exit non-zero if any item failed." in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry (stage histograms, pool gauges) after the sweep." in
-    Arg.(value & flag & info [ "show-metrics" ] ~doc)
-  in
   let doc =
     "Population-scale silicon sweep: fan synthetic profiles through minimize, \
      phase, fold, map, place, route, timing and yield on the domain pool; \
@@ -742,14 +670,14 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc ~exits)
     Term.(
       const run $ quick $ profiles $ seed $ jobs $ window $ checkpoint $ out $ front_out
-      $ det_out $ strict $ repeats_arg $ run_out_arg $ show_metrics $ trace_arg)
+      $ det_out $ strict $ assess_term $ instrument_term)
 
 (* --- classify ------------------------------------------------------------- *)
 
 let classify_cmd =
   let run quick seed jobs window samples trials spares rates sigmas checkpoint out det_out
-      strict repeats run_out show_metrics trace =
-    with_tracing trace @@ fun () ->
+      strict assess inst =
+    Runtime.Instrument.run inst @@ fun () ->
     let base = if quick then Classify.Envelope.quick else Classify.Envelope.default in
     let config =
       {
@@ -765,8 +693,8 @@ let classify_cmd =
         checkpoint;
       }
     in
-    let metrics = Runtime.Metrics.create () in
-    let repeats = max 1 repeats in
+    let metrics = Runtime.Metrics.global in
+    let repeats = max 1 assess.repeats in
     let t0 = Unix.gettimeofday () in
     let per_repeat =
       List.init repeats (fun k ->
@@ -778,23 +706,12 @@ let classify_cmd =
     let wall_s = Unix.gettimeofday () -. t0 in
     let r = List.nth per_repeat (repeats - 1) in
     print_string (Classify.Envelope.summary r);
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Assess.Json.to_string ~indent:2 (Classify.Envelope.json r));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "envelope written to %s\n" path
-    | None -> ());
-    (match det_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Assess.Json.to_string ~indent:2 (Classify.Envelope.deterministic_json r));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "deterministic view written to %s\n" path
-    | None -> ());
-    if show_metrics then print_string (Runtime.Metrics.dump metrics);
+    let write = Runtime.Instrument.write in
+    let out_ok = write ~what:"envelope" out (json_file Classify.Envelope.json r) in
+    let det_ok =
+      write ~what:"deterministic view" det_out
+        (json_file Classify.Envelope.deterministic_json r)
+    in
     let profile = if quick then "classify-quick" else "classify" in
     let faulted r =
       List.filter (fun p -> p.Classify.Envelope.pt_rate > 0.0) r.Classify.Envelope.ep_points
@@ -831,14 +748,12 @@ let classify_cmd =
             (series (fun r -> r.Classify.Envelope.ep_wall_s));
         ]
     in
-    let save_failed =
-      match run_out with None -> false | Some dir -> save_assess_run ~dir arun
-    in
+    let saved = Runtime.Instrument.save_run assess.run_out arun in
     let failed = r.Classify.Envelope.ep_failures <> [] in
     if failed then
       Printf.eprintf "cnfet_tool classify: %d grid point(s) failed\n"
         (List.length r.Classify.Envelope.ep_failures);
-    if save_failed || (strict && failed) then 1 else 0
+    if not (out_ok && det_ok && saved) || (strict && failed) then 1 else 0
   in
   let quick =
     let doc = "Quick envelope: 128 samples x 4 trials over a 3 x 2 grid." in
@@ -899,10 +814,6 @@ let classify_cmd =
     let doc = "Exit non-zero if any grid point failed." in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry (stage histograms, pool gauges) after the run." in
-    Arg.(value & flag & info [ "show-metrics" ] ~doc)
-  in
   let doc =
     "Degradation envelope for the crossbar classifier: accuracy over a fault-rate \
      x noise-sigma grid, before and after the ATPG-detect / spare-row-repair / \
@@ -911,36 +822,29 @@ let classify_cmd =
   Cmd.v (Cmd.info "classify" ~doc ~exits)
     Term.(
       const run $ quick $ seed $ jobs $ window $ samples $ trials $ spares $ rates $ sigmas
-      $ checkpoint $ out $ det_out $ strict $ repeats_arg $ run_out_arg $ show_metrics
-      $ trace_arg)
+      $ checkpoint $ out $ det_out $ strict $ assess_term $ instrument_term)
 
 (* --- fuzz ---------------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let run seed budget filter corpus jobs list_only show_metrics trace =
+  let run seed budget filter corpus jobs list_only inst =
     if list_only then begin
       List.iter
         (fun p -> Printf.printf "%-36s %d cases\n" (Prop.Runner.name p) (Prop.Runner.count p))
         (Prop.Fuzz.select ?filter Prop.Props.all);
       0
     end
-    else begin
-      with_tracing trace @@ fun () ->
-      let metrics = Runtime.Metrics.global in
+    else
+      Runtime.Instrument.run inst @@ fun () ->
       let config =
         { Prop.Fuzz.seed; budget_ms = budget; filter; corpus_dir = corpus; jobs }
       in
       Printf.printf "property fuzz (seed %d%s%s)\n%!" seed
         (match budget with Some ms -> Printf.sprintf ", budget %d ms" ms | None -> "")
         (match filter with Some re -> Printf.sprintf ", filter %s" re | None -> "");
-      let report = Prop.Fuzz.run ~metrics config in
+      let report = Prop.Fuzz.run ~metrics:Runtime.Metrics.global config in
       print_string (Prop.Fuzz.render report);
-      if show_metrics then begin
-        print_endline "--- metrics ---";
-        print_string (Runtime.Metrics.dump metrics)
-      end;
       if Prop.Fuzz.failures report = 0 then 0 else 1
-    end
   in
   let seed =
     let doc = "Master seed; every property derives its own deterministic case-seed chain from it." in
@@ -969,19 +873,15 @@ let fuzz_cmd =
     let doc = "List the (filtered) properties and their case counts, then exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry (counters, gauges, latency histograms) after the run." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
   let doc = "Property-based fuzzing with shrinking and a persistent counterexample corpus" in
   Cmd.v
     (Cmd.info "fuzz" ~doc ~exits)
-    Term.(const run $ seed $ budget $ filter $ corpus $ jobs $ list_only $ show_metrics $ trace_arg)
+    Term.(const run $ seed $ budget $ filter $ corpus $ jobs $ list_only $ instrument_term)
 
 (* --- chaos --------------------------------------------------------------- *)
 
 let chaos_cmd =
-  let run seed budget max_rounds spares jobs out show_metrics trace =
+  let run seed budget max_rounds spares jobs out inst =
     match
       let s = String.trim budget in
       let s = if String.length s > 1 && s.[String.length s - 1] = 's' then String.sub s 0 (String.length s - 1) else s in
@@ -991,21 +891,13 @@ let chaos_cmd =
       Printf.eprintf "chaos: bad --budget %S (want seconds, e.g. 20 or 20s)\n" budget;
       2
     | Some budget_s ->
-      with_tracing trace @@ fun () ->
+      Runtime.Instrument.run inst @@ fun () ->
       Printf.printf "chaos run (seed %d, budget %gs, max %d rounds)\n%!" seed budget_s max_rounds;
       let report = Runtime.Chaos.run ~seed ~budget_s ~max_rounds ~spare_rows:spares ?jobs () in
       print_string (Runtime.Chaos.summary report);
-      (match out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Runtime.Chaos.to_json report);
-        close_out oc;
-        Printf.printf "report written to %s\n" path);
-      if show_metrics then begin
-        print_endline "--- metrics ---";
-        print_string (Runtime.Metrics.dump Runtime.Metrics.global)
-      end;
+      let written =
+        Runtime.Instrument.write ~what:"report" out (fun () -> Runtime.Chaos.to_json report)
+      in
       (* The self-healing gate: every detectable injected fault must end
          up repaired (or proven unrepairable within the spare budget),
          and the supervised batches must have stayed bit-correct. *)
@@ -1019,6 +911,7 @@ let chaos_cmd =
           report.Runtime.Chaos.miscompares;
         1
       end
+      else if not written then 1
       else 0
   in
   let seed =
@@ -1045,21 +938,17 @@ let chaos_cmd =
     let doc = "Write the JSON chaos report to $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE.json" ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry (counters, gauges, latency histograms) after the run." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
   let doc = "Inject runtime faults and prove the detect/repair/re-verify loop heals them" in
   Cmd.v
     (Cmd.info "chaos" ~doc ~exits)
-    Term.(const run $ seed $ budget $ max_rounds $ spares $ jobs $ out $ show_metrics $ trace_arg)
+    Term.(const run $ seed $ budget $ max_rounds $ spares $ jobs $ out $ instrument_term)
 
 (* --- serve / loadgen ------------------------------------------------------ *)
 
 let serve_cmd =
-  let run sock pipe jobs queue_limit max_inflight max_tenants tenant_quota chunk max_batch
-      show_metrics trace =
-    with_tracing trace @@ fun () ->
+  let run sock pipe jobs queue_limit max_inflight max_tenants tenant_quota chunk max_batch inst =
+    (* In pipe mode stdin/stdout ARE the wire; all chatter goes to stderr. *)
+    Runtime.Instrument.run ~report:(if pipe then stderr else stdout) inst @@ fun () ->
     let cfg =
       {
         Serve.Server.default_config with
@@ -1079,7 +968,6 @@ let serve_cmd =
     (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal)
      with Invalid_argument _ -> ());
     if pipe then begin
-      (* stdin/stdout ARE the wire; all chatter goes to stderr *)
       Printf.eprintf "serve: single session on stdin/stdout (inflight %d, queue %d)\n%!"
         max_inflight queue_limit;
       Serve.Server.serve_session server stdin stdout
@@ -1098,12 +986,6 @@ let serve_cmd =
       s.Serve.Server.request_errors
       (Serve.Admission.shed_total (Serve.Server.admission server))
       s.Serve.Server.vectors_evaluated s.Serve.Server.session_errors;
-    if show_metrics then begin
-      let oc = if pipe then stderr else stdout in
-      output_string oc "--- metrics ---\n";
-      output_string oc (Runtime.Metrics.dump Runtime.Metrics.global);
-      flush oc
-    end;
     0
   in
   let sock =
@@ -1145,21 +1027,16 @@ let serve_cmd =
     let doc = "Input vectors accepted per request; more is Batch_too_large." in
     Arg.(value & opt int 65536 & info [ "max-batch" ] ~docv:"N" ~doc)
   in
-  let show_metrics =
-    let doc = "Dump the metrics registry after the daemon exits." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
   let doc = "Run the PLA evaluation service daemon" in
   Cmd.v
     (Cmd.info "serve" ~doc ~exits)
     Term.(
       const run $ sock $ pipe $ jobs $ queue_limit $ max_inflight $ max_tenants $ tenant_quota
-      $ chunk $ max_batch $ show_metrics $ trace_arg)
+      $ chunk $ max_batch $ instrument_term)
 
 let loadgen_cmd =
-  let run sock concurrency tenants requests batch seed classify_share sweep out run_out trace
-      =
-    with_tracing trace @@ fun () ->
+  let run sock concurrency tenants requests batch seed classify_share sweep out run_out trace =
+    Runtime.Instrument.run { Runtime.Instrument.trace; metrics = false } @@ fun () ->
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
     let connect () =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1203,23 +1080,13 @@ let loadgen_cmd =
       | [] -> [ run_point concurrency ]
       | cs -> List.map run_point cs
     in
-    let json =
-      match points with
-      | [ r ] -> Serve.Loadgen.to_json r
-      | rs -> Serve.Loadgen.sweep_to_json rs
+    let written =
+      Runtime.Instrument.write ~what:"report" out (fun () ->
+          match points with
+          | [ r ] -> Serve.Loadgen.to_json r
+          | rs -> Serve.Loadgen.sweep_to_json rs)
     in
-    (match out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
-    let run_failed =
-      match run_out with
-      | None -> false
-      | Some dir -> save_assess_run ~dir (Serve.Loadgen.to_run ~seed points)
-    in
+    let saved = Runtime.Instrument.save_run run_out (Serve.Loadgen.to_run ~seed points) in
     let total f = List.fold_left (fun acc r -> acc + f r) 0 points in
     let miscompares = total (fun r -> r.Serve.Loadgen.miscompares) in
     let errors = total (fun r -> r.Serve.Loadgen.errors) in
@@ -1236,7 +1103,7 @@ let loadgen_cmd =
       Printf.eprintf "loadgen: FAIL - nothing completed (all shed or server down?)\n";
       1
     end
-    else if run_failed then 1
+    else if not (written && saved) then 1
     else 0
   in
   let sock =

@@ -12,25 +12,12 @@
    printed under their parents sorted by total time, and self time is
    total minus the children's totals.
 
-   [validate_chrome_json] re-parses exported JSON with a minimal built-in
-   JSON reader and checks the trace schema: a traceEvents array whose
+   [validate_chrome_json] re-parses exported JSON with [Assess.Json.parse]
+   and checks the trace schema: a traceEvents array whose
    entries carry name/ph/ts/pid/tid, phases limited to B/E/i, per-tid
    Begin/End balance, and per-tid monotone timestamps. *)
 
 (* --- chrome trace-event JSON -------------------------------------------- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let args_json args =
   match args with
@@ -38,11 +25,15 @@ let args_json args =
   | _ ->
     Printf.sprintf ",\"args\":{%s}"
       (String.concat ","
-         (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) args))
+         (List.map
+            (fun (k, v) ->
+              Printf.sprintf "\"%s\":\"%s\"" (Assess.Json.escape_string k)
+                (Assess.Json.escape_string v))
+            args))
 
 let event_json (e : Event.t) =
   Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%Ld.%03Ld,\"pid\":0,\"tid\":%d%s%s}"
-    (escape e.Event.name) (Event.phase_code e.Event.phase)
+    (Assess.Json.escape_string e.Event.name) (Event.phase_code e.Event.phase)
     (Int64.div e.Event.ts_ns 1000L) (Int64.rem e.Event.ts_ns 1000L) e.Event.track
     (match e.Event.phase with Event.Instant -> ",\"s\":\"t\"" | Event.Begin | Event.End -> "")
     (args_json e.Event.args)
@@ -133,180 +124,37 @@ let text_profile events =
 
 (* --- schema validation --------------------------------------------------- *)
 
-(* A deliberately small JSON reader: enough to re-parse what this module
-   (or any spec-conforming writer) emits. Numbers become floats; no
-   unicode decoding beyond pass-through of escaped code points. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+exception Invalid of string
 
-  exception Parse of string
-
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt
-
-  let parse (s : string) =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | Some c' -> fail "expected %c at offset %d, found %c" c !pos c'
-      | None -> fail "expected %c at offset %d, found end of input" c !pos
-    in
-    let literal word v =
-      String.iter expect word;
-      v
-    in
-    let string_body () =
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'r' -> Buffer.add_char buf '\r'
-          | Some 'b' -> Buffer.add_char buf '\b'
-          | Some 'f' -> Buffer.add_char buf '\012'
-          | Some 'u' ->
-            if !pos + 4 >= n then fail "truncated \\u escape";
-            (* keep escaped code points as-is; the schema check only
-               compares ASCII field names *)
-            Buffer.add_string buf (String.sub s (!pos + 1) 4);
-            pos := !pos + 4
-          | Some c -> Buffer.add_char buf c
-          | None -> fail "unterminated escape");
-          advance ();
-          go ()
-        | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-      in
-      while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected a number at offset %d" start;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "malformed number at offset %d" start
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            expect '"';
-            let k = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or } at offset %d" !pos
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] at offset %d" !pos
-          in
-          elements []
-        end
-      | Some '"' ->
-        advance ();
-        Str (string_body ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage at offset %d" !pos;
-    v
-
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-end
+let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
 let validate_chrome_json text =
   let module M = Map.Make (Int) in
+  let module J = Assess.Json in
   try
-    let json = Json.parse text in
+    let json =
+      match J.parse text with
+      | Ok j -> j
+      | Error e -> fail "offset %d: %s" e.J.pos e.J.msg
+    in
     let events =
-      match Json.member "traceEvents" json with
-      | Some (Json.Arr es) -> es
-      | Some _ -> Json.fail "traceEvents is not an array"
-      | None -> Json.fail "missing traceEvents"
+      match J.member "traceEvents" json with
+      | Some (J.List es) -> es
+      | Some _ -> fail "traceEvents is not an array"
+      | None -> fail "missing traceEvents"
     in
     let stacks = ref M.empty in
     List.iteri
       (fun i e ->
         let str k =
-          match Json.member k e with
-          | Some (Json.Str s) -> s
-          | _ -> Json.fail "event %d: missing string field %S" i k
+          match J.member k e with
+          | Some (J.String s) -> s
+          | _ -> fail "event %d: missing string field %S" i k
         in
         let num k =
-          match Json.member k e with
-          | Some (Json.Num f) -> f
-          | _ -> Json.fail "event %d: missing numeric field %S" i k
+          match J.member k e with
+          | Some (J.Number f) -> f
+          | _ -> fail "event %d: missing numeric field %S" i k
         in
         let name = str "name" in
         let ph = str "ph" in
@@ -317,7 +165,7 @@ let validate_chrome_json text =
           match M.find_opt tid !stacks with Some s -> s | None -> ([], neg_infinity)
         in
         if ts < last_ts then
-          Json.fail "event %d: tid %d timestamp went backwards (%g after %g)" i tid ts last_ts;
+          fail "event %d: tid %d timestamp went backwards (%g after %g)" i tid ts last_ts;
         let stack =
           match ph with
           | "i" -> stack
@@ -325,9 +173,9 @@ let validate_chrome_json text =
           | "E" -> (
             match stack with
             | top :: rest when top = name -> rest
-            | top :: _ -> Json.fail "event %d: end %S does not match open span %S" i name top
-            | [] -> Json.fail "event %d: end %S with no open span" i name)
-          | _ -> Json.fail "event %d: unknown phase %S" i ph
+            | top :: _ -> fail "event %d: end %S does not match open span %S" i name top
+            | [] -> fail "event %d: end %S with no open span" i name)
+          | _ -> fail "event %d: unknown phase %S" i ph
         in
         stacks := M.add tid (stack, ts) !stacks)
       events;
@@ -335,10 +183,10 @@ let validate_chrome_json text =
       (fun tid (stack, _) ->
         match stack with
         | [] -> ()
-        | name :: _ -> Json.fail "tid %d: span %S never ended" tid name)
+        | name :: _ -> fail "tid %d: span %S never ended" tid name)
       !stacks;
     Ok (List.length events)
-  with Json.Parse msg -> Error msg
+  with Invalid msg -> Error msg
 
 (* --- span-name subsystems ------------------------------------------------ *)
 

@@ -13,8 +13,8 @@ val text_profile : Event.t list -> string
     (e.g. after ring-buffer drops) are skipped. *)
 
 val validate_chrome_json : string -> (int, string) result
-(** Re-parse exported JSON (built-in minimal reader, no dependencies) and
-    check the trace schema: a [traceEvents] array whose entries carry
+(** Re-parse exported JSON (through {!Assess.Json.parse}) and check the
+    trace schema: a [traceEvents] array whose entries carry
     name/ph/ts/pid/tid, phases limited to B/E/i, per-tid Begin/End
     balance and monotone timestamps. Returns the event count. *)
 

@@ -1,6 +1,5 @@
-(* The sequential-vs-parallel evaluation harness shared by the
-   [bench-parallel] CLI subcommand and the [parallel] section of
-   bench/main.exe.
+(* The sequential-vs-parallel evaluation harness behind the
+   [bench-parallel] CLI subcommand.
 
    Every workload runs its sequential reference first, then the same work
    through {!Batch} on a {!Pool}, checks the two results bit-for-bit, and
@@ -226,23 +225,10 @@ let run_assess ?metrics ?cache ?(seed = 2008) ?(trials = 1000) ?(repeats = 1) ~j
 
 (* --- JSON rendering ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_report r =
   Printf.sprintf
     "{\"name\":\"%s\",\"items\":%d,\"seq_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.3f,\"identical\":%b}"
-    (json_escape r.name) r.items r.seq_s r.par_s r.speedup r.identical
+    (Assess.Json.escape_string r.name) r.items r.seq_s r.par_s r.speedup r.identical
 
 let to_json ?cache ?metrics ~jobs reports =
   let buf = Buffer.create 1024 in
@@ -267,7 +253,7 @@ let to_json ?cache ?metrics ~jobs reports =
         (fun (name, s) ->
           Printf.sprintf
             "\"%s\": {\"n\": %d, \"mean\": %.6g, \"min\": %.6g, \"p50\": %.6g, \"p95\": %.6g, \"p99\": %.6g, \"max\": %.6g}"
-            (json_escape name) s.Histogram.n s.Histogram.mean s.Histogram.min s.Histogram.p50
+            (Assess.Json.escape_string name) s.Histogram.n s.Histogram.mean s.Histogram.min s.Histogram.p50
             s.Histogram.p95 s.Histogram.p99 s.Histogram.max)
         (Metrics.histograms m)
     in
@@ -276,11 +262,6 @@ let to_json ?cache ?metrics ~jobs reports =
   | None -> ());
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
-
-let write_json ?cache ?metrics ~jobs ~path reports =
-  let oc = open_out path in
-  output_string oc (to_json ?cache ?metrics ~jobs reports);
-  close_out oc
 
 let pp_report fmt r =
   Format.fprintf fmt "%-24s %7d items  seq %8.3fs  par %8.3fs  %5.2fx  %s" r.name r.items

@@ -3,8 +3,8 @@
     Each workload runs its sequential reference, then the same work
     through {!Batch} on a {!Pool}, verifies the results are bit-identical
     and reports both wall times. Used by the [bench-parallel] CLI
-    subcommand and the [parallel] section of [bench/main.exe]; results
-    render to machine-readable JSON ([BENCH_runtime.json]). *)
+    subcommand; results render to machine-readable JSON
+    ([BENCH_runtime.json]). *)
 
 type report = {
   name : string;
@@ -17,10 +17,6 @@ type report = {
 
 val time : (unit -> 'a) -> 'a * float
 (** Wall-clock an evaluation. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (shared by the
-    espresso bench's renderer). *)
 
 val hw_sweep : ?metrics:Metrics.t -> Pool.t -> report
 (** Exhaustive switch-level truth-table sweeps over the MCNC generator
@@ -66,7 +62,5 @@ val run_assess :
     derived [BENCH_runtime.json] view. *)
 
 val to_json : ?cache:Cache.t -> ?metrics:Metrics.t -> jobs:int -> report list -> string
-
-val write_json : ?cache:Cache.t -> ?metrics:Metrics.t -> jobs:int -> path:string -> report list -> unit
 
 val pp_report : Format.formatter -> report -> unit

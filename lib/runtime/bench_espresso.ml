@@ -1,5 +1,5 @@
-(* Espresso + cover-kernel microbenchmarks shared by the [bench-espresso]
-   CLI subcommand and the [espresso] section of bench/main.exe.
+(* Espresso + cover-kernel microbenchmarks behind the [bench-espresso]
+   CLI subcommand.
 
    For each Table-1 MCNC profile (max46, apla, t2 — via their synthetic
    twins) and a few generator functions, the harness measures:
@@ -299,7 +299,7 @@ let hw_crosscheck () =
 let json_of_report r =
   Printf.sprintf
     "{\"name\":\"%s\",\"n_in\":%d,\"n_out\":%d,\"cubes_before\":%d,\"cubes_after\":%d,\"lits_after\":%d,\"minimize_s\":%.6f,\"iterations\":%d,\"packed_mops\":%.3f,\"naive_mops\":%.3f,\"op_speedup\":%.3f,\"eval_mevals\":%.3f,\"eval_block_mevals\":%.3f,\"block_speedup\":%.3f,\"identical\":%b,\"block_identical\":%b}"
-    (Bench.json_escape r.name) r.n_in r.n_out r.cubes_before r.cubes_after
+    (Assess.Json.escape_string r.name) r.n_in r.n_out r.cubes_before r.cubes_after
     r.lits_after r.minimize_s r.iterations r.packed_mops r.naive_mops r.op_speedup
     r.eval_mevals r.eval_block_mevals r.block_speedup r.identical r.block_identical
 
@@ -334,10 +334,6 @@ let to_json ~quick ~seed reports =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_json ~quick ~seed ~path reports =
-  let oc = open_out path in
-  output_string oc (to_json ~quick ~seed reports);
-  close_out oc
 
 let pp_report fmt r =
   Format.fprintf fmt

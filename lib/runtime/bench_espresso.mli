@@ -5,8 +5,7 @@
     cover set-operation throughput through the word-parallel packed kernel
     versus the retained byte-per-literal reference ({!Logic.Cube_naive}),
     and compiled-PLA evaluation throughput. Renders to
-    [BENCH_espresso.json]. Shared by [cnfet_tool bench-espresso] and the
-    [espresso] section of [bench/main.exe]. *)
+    [BENCH_espresso.json]. Driven by [cnfet_tool bench-espresso]. *)
 
 type report = {
   name : string;
@@ -68,7 +67,5 @@ val run_assess :
     the run artifact. *)
 
 val to_json : quick:bool -> seed:int -> report list -> string
-
-val write_json : quick:bool -> seed:int -> path:string -> report list -> unit
 
 val pp_report : Format.formatter -> report -> unit

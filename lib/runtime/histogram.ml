@@ -50,19 +50,10 @@ let mean t = locked t (fun () -> if t.len = 0 then 0.0 else t.sum /. float_of_in
 
 let snapshot t = locked t (fun () -> Array.sub t.samples 0 t.len)
 
-(* Same nearest-rank definition as Util.Stats.percentile. *)
-let percentile_of_sorted a p =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    a.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let percentile t p =
   let a = snapshot t in
   Array.sort Float.compare a;
-  percentile_of_sorted a p
+  Util.Stats.nearest_rank a (p /. 100.)
 
 let percentiles t ps =
   (* One snapshot, one sort, however many ranks — so a percentile family
@@ -70,7 +61,7 @@ let percentiles t ps =
      sample set even while other domains keep observing. *)
   let a = snapshot t in
   Array.sort Float.compare a;
-  List.map (fun p -> (p, percentile_of_sorted a p)) ps
+  List.map (fun p -> (p, Util.Stats.nearest_rank a (p /. 100.))) ps
 
 type summary = {
   n : int;
@@ -93,9 +84,9 @@ let summarize t =
       mean = Array.fold_left ( +. ) 0.0 a /. float_of_int n;
       min = a.(0);
       max = a.(n - 1);
-      p50 = percentile_of_sorted a 50.0;
-      p95 = percentile_of_sorted a 95.0;
-      p99 = percentile_of_sorted a 99.0;
+      p50 = Util.Stats.nearest_rank a 0.50;
+      p95 = Util.Stats.nearest_rank a 0.95;
+      p99 = Util.Stats.nearest_rank a 0.99;
     }
 
 let reset t =

@@ -38,9 +38,6 @@ val bench_json : Drive.result -> Assess.Json.t
 (** The full artifact: {!deterministic_json} plus jobs, wall seconds,
     resumed count, throughput and {!stage_stats}. *)
 
-val write : path:string -> Assess.Json.t -> unit
-(** Pretty-print the view to [path] (2-space indent, trailing newline). *)
-
 val to_metrics : Drive.result -> Assess.Run.metric list
 (** One single-sample metric per measured quantity — [sweep.wall_s],
     [sweep.items_per_s], and [sweep.stage.<name>.p50_s] / [.p95_s] per

@@ -12,8 +12,16 @@ val median : float list -> float
 val min_max : float list -> float * float
 (** Smallest and largest sample. Raises [Invalid_argument] on empty input. *)
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank sorted q] with [q] a fraction in [\[0,1\]]: the
+    element of rank [ceil (q * n)] (clamped to [\[1,n\]]) of the
+    ascending array [sorted]; 0. when it is empty. The one percentile
+    kernel of the tree: histograms, the sweep report, the bootstrap CIs
+    and {!percentile} all read their ranks through it. *)
+
 val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [\[0,100\]], nearest-rank method. *)
+(** [percentile p xs] with [p] in [\[0,100\]], nearest-rank method:
+    {!nearest_rank} at [p /. 100.] over the sorted samples. *)
 
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b], or 0. when [b = 0.]. *)

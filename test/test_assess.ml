@@ -224,6 +224,22 @@ let test_ab_disjoint_and_errors () =
   let filtered = Ab.compare ~filter:(fun n -> n = "shared") a b in
   checki "filter keeps one metric" 1 (List.length filtered.Ab.metrics)
 
+(* A fixed run pair through the whole report: both renderings must stay
+   byte-identical to the goldens captured before the percentile copies
+   were folded into one kernel (the bootstrap CIs read their ranks
+   through it). Same comparison as
+   [cnfet_tool bench-ab --floor-mult 1.0 ab_run_a.json ab_run_b.json]. *)
+let test_ab_fixture_report_golden () =
+  let path name =
+    let p = Filename.concat "golden" name in
+    if Sys.file_exists p then p else Filename.concat "test" p
+  in
+  let golden name = In_channel.with_open_bin (path name) In_channel.input_all in
+  let load name = run_ok name (Run.load (path name)) in
+  let report = Ab.compare ~floor_mult:1.0 ~seed:9001 (load "ab_run_a.json") (load "ab_run_b.json") in
+  checks "json report" (golden "ab_report.json") (Ab.to_json report);
+  checks "text report" (golden "ab_report.txt") (Format.asprintf "%a" Ab.pp report)
+
 (* --- In-process A/A determinism over the quick espresso profile ----------- *)
 
 let test_espresso_quick_aa () =
@@ -284,6 +300,7 @@ let () =
           Alcotest.test_case "planted regression named" `Quick test_ab_planted_regression_named;
           Alcotest.test_case "A/A clean" `Quick test_ab_aa_clean;
           Alcotest.test_case "disjoint metrics and filters" `Quick test_ab_disjoint_and_errors;
+          Alcotest.test_case "fixture report golden" `Quick test_ab_fixture_report_golden;
         ] );
       ( "integration",
         [

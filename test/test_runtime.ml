@@ -438,6 +438,100 @@ let test_span_observer_feeds_histogram () =
   checki "two spans observed" 2 s.Histogram.n;
   checkf "mean duration" 0.5 s.Histogram.mean
 
+(* --- Instrument: the one instrumented-run wrapper ----------------------- *)
+
+module Instrument = Runtime.Instrument
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run [f] with a temp-file report channel and stdout redirected to a
+   second temp file; returns [f]'s result, the report and the stdout
+   bytes. *)
+let capture f =
+  let report_path = Filename.temp_file "instrument" ".report" in
+  let stdout_path = Filename.temp_file "instrument" ".stdout" in
+  let report = open_out_bin report_path in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile stdout_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved;
+        close_out report)
+      (fun () -> f report)
+  in
+  let out = (result, read_file report_path, read_file stdout_path) in
+  Sys.remove report_path;
+  Sys.remove stdout_path;
+  out
+
+let test_instrument_span_reaches_dump () =
+  let trace = Filename.temp_file "instrument" ".json" in
+  let code, report, _ =
+    capture (fun report ->
+        Instrument.run ~report { Instrument.trace = Some trace; metrics = true } (fun () ->
+            Obs.Span.with_ "unit.wrapped" ignore;
+            0))
+  in
+  checki "exit code" 0 code;
+  checkb "span histogram in the dumped registry" true (contains report "span.unit.wrapped");
+  checkb "metrics header" true (contains report "--- metrics ---\n");
+  checkb "collector removed" true (Obs.Trace.active () = None);
+  (match Obs.Export.validate_chrome_json (read_file trace) with
+  | Ok n -> checki "begin + end written" 2 n
+  | Error msg -> Alcotest.failf "trace invalid: %s" msg);
+  Sys.remove trace
+
+let test_instrument_report_channel () =
+  let trace = Filename.temp_file "instrument" ".json" in
+  let code, report, stdout_bytes =
+    capture (fun report ->
+        Instrument.run ~report { Instrument.trace = Some trace; metrics = true } (fun () ->
+            Obs.Span.with_ "unit.channel" ignore;
+            0))
+  in
+  checki "exit code" 0 code;
+  checkb "trace summary on the report channel" true (contains report "trace: 2 events");
+  checkb "written path on the report channel" true
+    (contains report ("trace written to " ^ trace));
+  checkb "text profile on the report channel" true (contains report "unit.channel");
+  Alcotest.(check string) "nothing on stdout" "" stdout_bytes;
+  Sys.remove trace
+
+let test_instrument_write_failure () =
+  (* A path under a regular file can never be opened for writing. *)
+  let file = Filename.temp_file "instrument" ".file" in
+  let bad = Filename.concat file "out.json" in
+  checkb "unwritable path reports failure" false
+    (Instrument.write ~what:"results" (Some bad) (fun () -> "{}"));
+  checkb "no path renders nothing" true
+    (Instrument.write ~what:"results" None (fun () -> Alcotest.fail "rendered"));
+  let good = Filename.temp_file "instrument" ".json" in
+  let ok, _, stdout_bytes =
+    capture (fun _ -> Instrument.write ~what:"results" (Some good) (fun () -> "{}\n"))
+  in
+  checkb "writable path succeeds" true ok;
+  Alcotest.(check string) "exact bytes" "{}\n" (read_file good);
+  Alcotest.(check string) "confirmation" ("results written to " ^ good ^ "\n") stdout_bytes;
+  let code, _, _ =
+    capture (fun report ->
+        Instrument.run ~report { Instrument.trace = Some bad; metrics = false } (fun () -> 0))
+  in
+  checki "unwritable trace turns exit 0 into 1" 1 code;
+  checkb "collector removed after a failed flush" true (Obs.Trace.active () = None);
+  Sys.remove file;
+  Sys.remove good
+
 (* --- Failure propagation -------------------------------------------------- *)
 
 exception Boom of int
@@ -578,6 +672,10 @@ let () =
           Alcotest.test_case "percentile clamping" `Quick test_histogram_percentile_clamps;
           Alcotest.test_case "incr_named across domains" `Quick test_incr_named_across_domains;
           Alcotest.test_case "span observer histograms" `Quick test_span_observer_feeds_histogram;
+          Alcotest.test_case "instrument: traced span in dumped registry" `Quick
+            test_instrument_span_reaches_dump;
+          Alcotest.test_case "instrument: report channel" `Quick test_instrument_report_channel;
+          Alcotest.test_case "instrument: writer failure path" `Quick test_instrument_write_failure;
         ] );
       ( "failures",
         [

@@ -333,6 +333,29 @@ let test_stats_percentile () =
   checkf "p50" 50. (Util.Stats.percentile 50. xs);
   checkf "p100" 100. (Util.Stats.percentile 100. xs)
 
+(* The nearest-rank kernel against the inline formula every percentile
+   copy used before they were folded into [Util.Stats.nearest_rank]:
+   same rank, same element, for every length up to 2000. *)
+let test_stats_nearest_rank_matches_inline () =
+  let inline a p =
+    let n = Array.length a in
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+    a.(max 0 (min (n - 1) (rank - 1)))
+  in
+  let rng = Util.Rng.create 2008 in
+  for n = 1 to 2000 do
+    let a = Array.init n (fun _ -> Util.Rng.float rng 1.0) in
+    Array.sort Float.compare a;
+    let ps = [ 0.; 50.; 90.; 95.; 99.; 100.; Util.Rng.float rng 100.; Util.Rng.float rng 100. ] in
+    List.iter
+      (fun p ->
+        let want = inline a p and got = Util.Stats.nearest_rank a (p /. 100.) in
+        if Int64.bits_of_float want <> Int64.bits_of_float got then
+          Alcotest.failf "n=%d p=%h: kernel %h, inline %h" n p got want)
+      ps
+  done;
+  checkf "empty is 0" 0. (Util.Stats.nearest_rank [||] 0.5)
+
 let test_stats_summary () =
   let s = Util.Stats.summarize [ 1.; 2.; 3. ] in
   checki "n" 3 s.Util.Stats.n;
@@ -426,6 +449,8 @@ let () =
           Alcotest.test_case "median" `Quick test_stats_median;
           Alcotest.test_case "min/max" `Quick test_stats_min_max;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
+          Alcotest.test_case "nearest-rank kernel = inline formula" `Quick
+            test_stats_nearest_rank_matches_inline;
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "ratio" `Quick test_stats_ratio;
         ] );
