@@ -410,31 +410,24 @@ let compile_hit t ?source ?inverted_outputs cover =
 
 let compile t ?inverted_outputs cover = fst (compile_hit t ?inverted_outputs cover)
 
-let compile_of_pla_hit t pla_v =
-  (* Key on the planes' programmed content rather than a source cover.
-     The input count is part of it: a padded 0-input PLA and a 1-input
-     PLA whose only column is all-Drop share plane contents. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "i%d;" (Pla.num_inputs pla_v));
-  let add_plane p =
-    Buffer.add_string buf (Printf.sprintf "%dx%d:" (Plane.rows p) (Plane.cols p));
-    Plane.iter
-      (fun _ _ m ->
-        Buffer.add_char buf
-          (match m with Gnor.Pass -> 'p' | Gnor.Invert -> 'i' | Gnor.Drop -> '.'))
-      p
+(* The one rot policy. The front key first, when given; a rotten front
+   entry is evicted with its alias, so the cover-keyed lookup after it
+   recompiles. If that store rots too, the caller gets a standalone
+   entry compiled from the same mapped PLA: it is never stored, so no
+   [Cache_store] tap reaches it and nothing can rot it before use. *)
+let resolve t ?source cover =
+  let front =
+    match source with
+    | None -> None
+    | Some s -> ( try find_source t s with Corrupt_entry _ -> None)
   in
-  add_plane (Pla.and_plane pla_v);
-  Buffer.add_char buf '|';
-  add_plane (Pla.or_plane pla_v);
-  Buffer.add_string buf "pol:";
-  for o = 0 to Pla.num_outputs pla_v - 1 do
-    Buffer.add_char buf (if Pla.output_inverted pla_v o then '1' else '0')
-  done;
-  let key = Digest.string (Buffer.contents buf) in
-  find_or_compile t key (fun () -> compile_pla pla_v)
-
-let compile_of_pla t pla_v = fst (compile_of_pla_hit t pla_v)
+  match front with
+  | Some compiled -> (compiled, `Hit)
+  | None -> (
+    let cover = cover () in
+    match compile_hit t ?source cover with
+    | compiled, hit -> (compiled, if hit then `Hit else `Miss)
+    | exception Corrupt_entry _ -> (compile_pla (Pla.of_cover cover), `Fallback))
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)

@@ -23,12 +23,12 @@ type key = string
 (** MD5 digest of the programmed content. *)
 
 exception Corrupt_entry of { key : key }
-(** Raised by {!compile} / {!compile_of_pla} / {!find_source} when the
+(** Raised by {!compile} / {!compile_hit} / {!find_source} when the
     entry about to be served (or just stored, under {!Fault.Inject}
     chaos) no longer matches the integrity checksum recorded at compile
     time. The rotten entry is evicted before raising, so a plain retry
-    recompiles from source; {!Supervisor} additionally counts these toward its
-    circuit breaker and falls back to uncompiled evaluation. *)
+    recompiles from source. {!resolve} is the one caller that recovers
+    from it: serving code goes through {!resolve} and never sees it. *)
 
 val key_of_cover : ?inverted_outputs:bool array -> Logic.Cover.t -> key
 (** The cache key {!compile} uses: digest of [n_in], [n_out], the cube
@@ -64,14 +64,22 @@ val find_source : t -> string -> compiled option
     @raise Corrupt_entry if it rotted; the entry and its alias are
     evicted first, so the caller can fall back to {!compile_hit}. *)
 
-val compile_of_pla : t -> Cnfet.Pla.t -> compiled
-(** Same, keyed on an already-mapped PLA's input count and plane
-    contents (used for repaired / hand-built PLAs that have no source
-    cover). *)
-
-val compile_of_pla_hit : t -> Cnfet.Pla.t -> compiled * bool
-(** {!compile_of_pla} with the same per-call hit flag as
-    {!compile_hit}. *)
+val resolve :
+  t ->
+  ?source:string ->
+  (unit -> Logic.Cover.t) ->
+  compiled * [ `Hit | `Miss | `Fallback ]
+(** The serving lookup, and the one policy for rotten entries. With
+    [source], {!find_source} first; when that misses or its entry
+    rotted (and was evicted), the cover is built and taken through
+    {!compile_hit}, which recompiles an evicted entry and aliases
+    [source] to it. If that store rots as well, the result is a
+    standalone compiled entry built from the same mapped PLA and marked
+    [`Fallback]: it is never stored, so it cannot rot before use, and
+    it evaluates through the same {!eval_block}. So under persistent
+    rot a lookup costs one rotten store plus one compile. The cover
+    thunk runs only when the front key does not answer; its exceptions
+    propagate. *)
 
 val pla : compiled -> Cnfet.Pla.t
 

@@ -5,11 +5,12 @@
 
     {ul
     {- {b supervised batches}: input-space sweeps through
-       {!Supervisor.run_all} / {!Supervisor.eval} while pool tasks raise,
-       stall and crash their workers and compiled-cache entries rot —
-       results must stay bit-identical to the fault-free oracle (crashes
-       are respawned, failures retried, corrupt entries checksum-detected
-       and served via the uncompiled fallback);}
+       {!Supervisor.run_all}, each task one {!Cache.resolve} and one
+       8-lane {!Cache.eval_block}, while pool tasks raise, stall and
+       crash their workers and compiled-cache entries rot — results must
+       stay bit-identical to the fault-free oracle (crashes are
+       respawned, failures retried, rotten stores checksum-detected and
+       served by {!Cache.resolve}'s standalone compiled entry);}
     {- {b crosspoint faults}: programmed cells flip to stuck states,
        {!Fault.Atpg} vectors expose the miscompares, {!Fault.Repair}
        re-maps products onto spare rows, small arrays are physically
@@ -52,8 +53,7 @@ type report = {
   deadline_expiries : int;
   serial_fallbacks : int;
   cache_corruptions : int;
-  fallback_evals : int;
-  breaker_opens : int;
+  fallback_evals : int;  (** vectors served by {!Cache.resolve}'s standalone entry *)
   degradation : float;  (** degraded operations / total operations *)
   recoveries : int;
   recovery_p50_s : float;

@@ -1,8 +1,7 @@
 (* Recovery layer over the pool. The pool isolates failures (a poisoned
    task fails alone); this module decides what to do about them: wait no
-   longer than a deadline, retry with decorrelated-jitter backoff, trip a
-   circuit breaker when the compiled cache keeps serving rot, and stop
-   trusting the pool altogether once it has burned through too many
+   longer than a deadline, retry with decorrelated-jitter backoff, and
+   stop trusting the pool altogether once it has burned through too many
    workers. Time and sleeping are injected so every schedule runs under
    [Obs.Clock.fixed_step] in tests without real waiting. *)
 
@@ -50,8 +49,6 @@ type config = {
   deadline_s : float option;
   backoff : Backoff.policy;
   poll_s : float;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
   crash_tolerance : int;
 }
 
@@ -61,12 +58,8 @@ let default_config =
     deadline_s = None;
     backoff = Backoff.default;
     poll_s = 5e-4;
-    breaker_threshold = 3;
-    breaker_cooldown_s = 0.05;
     crash_tolerance = 8;
   }
-
-type breaker_state = Closed | Open | Half_open
 
 type t = {
   pool : Pool.t;
@@ -76,10 +69,6 @@ type t = {
   cfg : config;
   jitter : Util.Rng.t;
   jitter_lock : Mutex.t;
-  breaker_lock : Mutex.t;
-  mutable breaker : breaker_state;
-  mutable strikes : int;  (* consecutive cache corruptions while closed *)
-  mutable opened_s : float;  (* clock reading when the breaker opened *)
 }
 
 let tick ?(by = 1) t name =
@@ -88,31 +77,15 @@ let tick ?(by = 1) t name =
 let create ?metrics ?(clock = Obs.Clock.monotonic) ?(sleep = Unix.sleepf) ?(seed = 0)
     ?(config = default_config) pool =
   if config.max_attempts < 1 then invalid_arg "Supervisor.create: max_attempts < 1";
-  if config.breaker_threshold < 1 then invalid_arg "Supervisor.create: breaker_threshold < 1";
-  let t =
-    {
-      pool;
-      metrics;
-      clock;
-      sleep;
-      cfg = config;
-      jitter = Util.Rng.create seed;
-      jitter_lock = Mutex.create ();
-      breaker_lock = Mutex.create ();
-      breaker = Closed;
-      strikes = 0;
-      opened_s = 0.;
-    }
-  in
-  (match metrics with
-  | Some m ->
-    Metrics.register_gauge m "supervisor.breaker_state" (fun () ->
-        Mutex.lock t.breaker_lock;
-        let s = t.breaker in
-        Mutex.unlock t.breaker_lock;
-        match s with Closed -> 0. | Half_open -> 1. | Open -> 2.)
-  | None -> ());
-  t
+  {
+    pool;
+    metrics;
+    clock;
+    sleep;
+    cfg = config;
+    jitter = Util.Rng.create seed;
+    jitter_lock = Mutex.create ();
+  }
 
 let pool t = t.pool
 
@@ -231,62 +204,3 @@ let run_all ?(label = "batch") t thunks =
       results.(i) <- Some (recover t ~label:lbl thunks.(i) ~attempt:1 ~prev_delay:0. first)
     done;
     Array.map Option.get results
-
-(* --- cache circuit breaker --------------------------------------------- *)
-
-let breaker_state t =
-  Mutex.lock t.breaker_lock;
-  let s = t.breaker in
-  Mutex.unlock t.breaker_lock;
-  s
-
-let fallback_eval ?inverted_outputs t cover inputs =
-  tick t "supervisor.fallback_evals";
-  Cnfet.Pla.eval (Cnfet.Pla.of_cover ?inverted_outputs cover) inputs
-
-let eval ?inverted_outputs t cache cover inputs =
-  (* Decide the path under the lock, evaluate outside it. *)
-  Mutex.lock t.breaker_lock;
-  let state =
-    match t.breaker with
-    | Open when now_s t -. t.opened_s >= t.cfg.breaker_cooldown_s ->
-      t.breaker <- Half_open;
-      Half_open
-    | s -> s
-  in
-  Mutex.unlock t.breaker_lock;
-  match state with
-  | Open -> fallback_eval ?inverted_outputs t cover inputs
-  | Closed | Half_open -> (
-    match Cache.compile cache ?inverted_outputs cover with
-    | compiled ->
-      let r = Cache.eval compiled inputs in
-      Mutex.lock t.breaker_lock;
-      t.strikes <- 0;
-      let closed_now = t.breaker = Half_open in
-      if closed_now then t.breaker <- Closed;
-      Mutex.unlock t.breaker_lock;
-      if closed_now then begin
-        tick t "supervisor.breaker_closes";
-        Obs.Span.instant "supervisor.breaker_close"
-      end;
-      r
-    | exception Cache.Corrupt_entry _ ->
-      (* The rotten entry is already evicted; count the strike, open the
-         breaker on repeated rot (or instantly when a half-open probe
-         fails), and serve this evaluation uncompiled. *)
-      Mutex.lock t.breaker_lock;
-      t.strikes <- t.strikes + 1;
-      let opened = state = Half_open || t.strikes >= t.cfg.breaker_threshold in
-      if opened then begin
-        t.breaker <- Open;
-        t.opened_s <- now_s t;
-        t.strikes <- 0
-      end;
-      Mutex.unlock t.breaker_lock;
-      tick t "supervisor.cache_strikes";
-      if opened then begin
-        tick t "supervisor.breaker_opens";
-        Obs.Span.instant "supervisor.breaker_open"
-      end;
-      fallback_eval ?inverted_outputs t cover inputs)

@@ -1,6 +1,6 @@
 (** Supervised execution over {!Pool}: deadlines, bounded retry with
-    decorrelated-jitter backoff, a circuit breaker over the compiled-PLA
-    {!Cache}, and serial fallback when the pool itself is unhealthy.
+    decorrelated-jitter backoff, and serial fallback when the pool
+    itself is unhealthy.
 
     The pool gives crash {e isolation} (a poisoned task fails alone);
     the supervisor adds crash {e recovery}: a failed or overdue attempt
@@ -13,8 +13,9 @@
 
     All recovery activity is counted in {!Metrics}
     ([supervisor.retries], [supervisor.deadline_expiries],
-    [supervisor.breaker_opens], [supervisor.fallback_evals],
-    [supervisor.serial_fallbacks]) and marked in {!Obs} traces. *)
+    [supervisor.giveups], [supervisor.serial_fallbacks]) and marked in
+    {!Obs} traces. A compiled-cache entry that rots is not the
+    supervisor's business: {!Cache.resolve} handles it. *)
 
 (** {1 Backoff} *)
 
@@ -51,14 +52,12 @@ type config = {
   deadline_s : float option;  (** per-attempt deadline; [None] = unbounded *)
   backoff : Backoff.policy;
   poll_s : float;  (** deadline poll interval *)
-  breaker_threshold : int;  (** consecutive cache corruptions that open the breaker *)
-  breaker_cooldown_s : float;  (** open -> half-open delay *)
   crash_tolerance : int;  (** pool worker crashes beyond which new work runs serially *)
 }
 
 val default_config : config
-(** 3 attempts, no deadline, default backoff, 0.5 ms poll, breaker at 3
-    corruptions with a 50 ms cooldown, serial fallback after 8 crashes. *)
+(** 3 attempts, no deadline, default backoff, 0.5 ms poll, serial
+    fallback after 8 crashes. *)
 
 (** {1 Supervisor} *)
 
@@ -94,19 +93,3 @@ val run_all : ?label:string -> t -> (unit -> 'a) array -> 'a array
 (** Parallel first pass over all thunks, then per-index supervised
     retry of any failure — the supervised analogue of {!Pool.run_all}:
     one bad item never discards its siblings' completed work. *)
-
-(** {1 Cache circuit breaker} *)
-
-type breaker_state = Closed | Open | Half_open
-
-val breaker_state : t -> breaker_state
-
-val eval : ?inverted_outputs:bool array -> t -> Cache.t -> Logic.Cover.t -> bool array -> bool array
-(** Evaluate through the compiled cache while the breaker is closed.
-    Each {!Cache.Corrupt_entry} (checksum mismatch at serve time) counts
-    one strike and the evaluation falls back to building an uncompiled
-    [Pla] directly; [breaker_threshold] consecutive strikes open the
-    breaker and {e all} evaluations bypass the cache until
-    [breaker_cooldown_s] has passed, after which one half-open probe
-    either closes it (clean serve) or re-opens it. Results are
-    bit-identical between the compiled and fallback paths. *)

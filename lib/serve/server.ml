@@ -105,35 +105,6 @@ let observe t name v = match t.metrics with Some m -> Metrics.observe m name v |
 exception Reject of Wire.error_code * string
 (* request-level failure; answered with [Error_response], session lives *)
 
-(* How this request's program gets evaluated: through the bit-sliced
-   compiled entry, or — only if the tenant cache rots repeatedly —
-   uncompiled straight off the mapped PLA. *)
-type engine = Compiled of Cache.compiled | Uncompiled of Cnfet.Pla.t
-
-(* Compiled evaluator plus whether the tenant cache already had it —
-   reported by the cache for this lookup alone, since diffing its
-   shared hit counter would race with concurrent requests on the same
-   tenant. A rotten cache entry ([Corrupt_entry] self-evicts) gets one
-   recompile; if the cover key rots twice in a row, the mapped PLA is
-   compiled under its plane-content key (a distinct entry, same
-   per-call hit reporting via [compile_of_pla_hit]) before giving up
-   and serving this request uncompiled. The cover-keyed lookups alias
-   [source] to the entry they return. *)
-let evaluator t tcache ~source cover =
-  match Cache.compile_hit tcache ~source cover with
-  | compiled, hit -> (Compiled compiled, hit)
-  | exception Cache.Corrupt_entry _ -> (
-    match Cache.compile_hit tcache ~source cover with
-    | compiled, hit -> (Compiled compiled, hit)
-    | exception Cache.Corrupt_entry _ -> (
-      let pla = Cnfet.Pla.of_cover cover in
-      match Cache.compile_of_pla_hit tcache pla with
-      | compiled, hit -> (Compiled compiled, hit)
-      | exception Cache.Corrupt_entry _ ->
-        bump t (fun s -> { s with fallback_evals = s.fallback_evals + 1 });
-        tick t "serve.fallback_evals";
-        (Uncompiled pla, false)))
-
 (* Front keys: a tag byte puts eval programs and classify model names in
    disjoint namespaces, so no program text can alias a model. *)
 let program_source program = "P" ^ program
@@ -167,32 +138,15 @@ type reply =
    ([Runtime.Batch.map_blocks], which uses the pool when there is more
    than one block). Each block gathers straight from the request
    matrix's packed bytes ([Wire.matrix_block]) into the bit-sliced
-   evaluator — no bool-array round-trip. The uncompiled fallback
-   evaluates the same blocks vector by vector and packs them into the
-   same lane words, so both engines' replies are scattered into row
-   bytes by one [Wire.matrix_of_blocks]. *)
-let eval_engine t engine batch =
+   evaluator — no bool-array round-trip — and [Wire.matrix_of_blocks]
+   scatters the output lane words into the reply's row bytes. *)
+let eval_blocks t compiled batch =
   let n = Wire.matrix_rows batch in
-  let map_blocks f = Runtime.Batch.map_blocks ?metrics:t.metrics t.pool n f in
-  let pla, block_words =
-    match engine with
-    | Compiled compiled ->
-      ( Cache.pla compiled,
-        map_blocks (fun ~first ~lanes ->
-            Cache.eval_block compiled
-              { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes }) )
-    | Uncompiled pla ->
-      ( pla,
-        map_blocks (fun ~first ~lanes ->
-            let words = Array.make (Cnfet.Pla.num_outputs pla) 0 in
-            for v = 0 to lanes - 1 do
-              Array.iteri
-                (fun o bit -> if bit then words.(o) <- words.(o) lor (1 lsl v))
-                (Cnfet.Pla.eval pla (Wire.matrix_row batch (first + v)))
-            done;
-            words) )
+  let block_words =
+    Runtime.Batch.map_blocks ?metrics:t.metrics t.pool n (fun ~first ~lanes ->
+        Cache.eval_block compiled { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes })
   in
-  Wire.matrix_of_blocks ~rows:n ~width:(Cnfet.Pla.num_outputs pla) block_words
+  Wire.matrix_of_blocks ~rows:n ~width:(Cnfet.Pla.num_outputs (Cache.pla compiled)) block_words
 
 (* Shared request wrapper: count, admit (or shed), cap the batch, and
    convert any per-request explosion to a typed error — the daemon and
@@ -229,37 +183,41 @@ let check_width ~n batch expected what =
          ( Wire.Arity_mismatch,
            Printf.sprintf "batch width %d, %s" (Wire.matrix_width batch) (what expected) ))
 
-(* Look the program up in the tenant cache's front table by [source].
-   A hit skips [miss] (parse, checks, cover hash); [on_hit] checks the
-   batch against the entry instead. A miss, or a rotten entry, runs
-   [miss] and takes the cover-keyed [evaluator] ladder. Then evaluate
-   the batch through the bit-sliced path. [eval_ns] times lookup and
-   evaluation only: [miss]'s own time, the parse, is left out. *)
+(* Look the program up through [Cache.resolve], keyed on [source]. A
+   front hit skips [miss] (parse, checks, cover hash), so [on_hit]
+   checks the batch against a hit entry instead. Otherwise [miss]
+   builds the cover and the cache takes it through its one rot policy:
+   a store that rots leaves a standalone compiled entry, counted as a
+   fallback. Then evaluate the batch through the bit-sliced path.
+   [eval_ns] times lookup and evaluation only: [miss]'s own time, the
+   parse, is left out. *)
 let compile_and_eval t ~tenant ~batch ~n ~source ~on_hit miss =
   let t0 = Unix.gettimeofday () in
-  let engine, cache_hit, miss_s =
+  let miss_s = ref 0. in
+  let compiled, status =
     Obs.Span.with_ ~args:[ ("tenant", tenant) ] "serve.compile" (fun () ->
         let tcache = Tenants.cache t.tenants tenant in
-        match Cache.find_source tcache source with
-        | Some compiled ->
-          on_hit compiled;
-          (Compiled compiled, true, 0.)
-        | None | (exception Cache.Corrupt_entry _) ->
-          let m0 = Unix.gettimeofday () in
-          let cover = miss () in
-          let miss_s = Unix.gettimeofday () -. m0 in
-          let engine, hit = evaluator t tcache ~source cover in
-          (engine, hit, miss_s))
+        Cache.resolve tcache ~source (fun () ->
+            let m0 = Unix.gettimeofday () in
+            let cover = miss () in
+            miss_s := Unix.gettimeofday () -. m0;
+            cover))
   in
+  (match status with
+  | `Hit -> on_hit compiled
+  | `Miss -> ()
+  | `Fallback ->
+    bump t (fun s -> { s with fallback_evals = s.fallback_evals + 1 });
+    tick t "serve.fallback_evals");
   let outputs =
     Obs.Span.with_ ~args:[ ("vectors", string_of_int n) ] "serve.eval" (fun () ->
-        eval_engine t engine batch)
+        eval_blocks t compiled batch)
   in
-  let dt = Unix.gettimeofday () -. t0 -. miss_s in
+  let dt = Unix.gettimeofday () -. t0 -. !miss_s in
   observe t "serve.eval_latency_s" dt;
   bump t (fun s -> { s with vectors_evaluated = s.vectors_evaluated + n });
   (match t.metrics with Some m -> Metrics.incr_named ~by:n m "serve.vectors" | None -> ());
-  Stream { outputs; cache_hit; eval_ns = Int64.of_float (dt *. 1e9) }
+  Stream { outputs; cache_hit = status = `Hit; eval_ns = Int64.of_float (dt *. 1e9) }
 
 let process t ~tenant ~program ~batch =
   admitted t ~batch (fun n ->

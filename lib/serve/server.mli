@@ -19,7 +19,9 @@
     cache has seen is served from {!Runtime.Cache.find_source} without
     parsing the program or hashing its cover; every other request
     parses and takes the cover-keyed lookup, which then aliases the
-    bytes to its entry. *)
+    bytes to its entry. Both go through {!Runtime.Cache.resolve}, so a
+    rotten entry costs one rotten store plus one compile, never an
+    uncompiled evaluation. *)
 
 type config = {
   jobs : int option;  (** evaluation pool size; [None] = cores - 1 *)
@@ -84,7 +86,9 @@ type stats = {
   request_errors : int;  (** requests answered with [Error_response] *)
   session_errors : int;  (** sessions ended by decode failure/disconnect *)
   vectors_evaluated : int;
-  fallback_evals : int;  (** served uncompiled after repeated cache rot *)
+  fallback_evals : int;
+      (** requests whose compiled store rotted, served by
+          {!Runtime.Cache.resolve}'s standalone compiled entry *)
 }
 
 val stats : t -> stats

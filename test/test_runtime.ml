@@ -178,25 +178,95 @@ let test_cache_lru_touch_reorders () =
   (* Recompiling [b] at capacity evicted the tail again. *)
   checki "second eviction on reinsert" 2 (Cache.evictions cache)
 
-let test_compile_of_pla_hit_status () =
+(* --- Cache.resolve: the one rot policy --------------------------------------- *)
+
+let rot_every_store f =
+  Fault.Inject.with_armed ~seed:3 { Fault.Inject.nothing with Fault.Inject.cache_corrupt = 1.0 }
+    (fun _ -> f ())
+
+(* Every minterm through [eval_block], in 63-lane blocks, against
+   [Pla.eval] on the cover's own mapped PLA. *)
+let check_every_minterm what compiled cover =
+  let n = Cover.num_inputs cover in
+  let pla = Pla.of_cover cover in
+  let vectors = Array.init (1 lsl n) (Batch.minterm n) in
+  let total = Array.length vectors in
+  let first = ref 0 in
+  while !first < total do
+    let lanes = min Cache.lanes_per_word (total - !first) in
+    let out = Cache.eval_block compiled (Cache.transpose vectors ~first:!first ~lanes) in
+    Array.iteri
+      (fun v row -> checkb what true (row = Pla.eval pla vectors.(!first + v)))
+      (Cache.untranspose out ~lanes);
+    first := !first + lanes
+  done
+
+let status_name = function `Hit -> "hit" | `Miss -> "miss" | `Fallback -> "fallback"
+
+let check_status what want (_, got) =
+  Alcotest.check Alcotest.string what (status_name want) (status_name got)
+
+let test_resolve_hit_and_miss () =
   let cache = Cache.create () in
-  let pla = Pla.of_cover cmp2 in
-  let _, hit1 = Cache.compile_of_pla_hit cache pla in
-  checkb "first of-planes compile misses" false hit1;
-  (* A structurally identical but physically distinct PLA must hit: the
-     key digests plane contents, not identity. *)
-  let _, hit2 = Cache.compile_of_pla_hit cache (Pla.of_cover cmp2) in
-  checkb "same plane content hits" true hit2;
-  let _, hit3 = Cache.compile_of_pla_hit cache (Pla.of_cover dec2) in
-  checkb "different plane content misses" false hit3;
-  (* A 0-input PLA is padded to one all-Drop AND column, the same plane
-     content as a 1-input PLA whose only column is all-Drop: the input
-     count keeps them apart. *)
-  let _, hit_p0 = Cache.compile_of_pla_hit cache (Pla.of_cover (universe 0)) in
-  checkb "0-input PLA misses" false hit_p0;
-  let e1, hit_p1 = Cache.compile_of_pla_hit cache (Pla.of_cover (universe 1)) in
-  checkb "1-input all-Drop PLA misses" false hit_p1;
-  checkb "1-input entry evaluates" true (Cache.eval e1 [| true |] = [| true |])
+  let built = ref 0 in
+  let cover c () =
+    incr built;
+    c
+  in
+  check_status "first lookup misses" `Miss (Cache.resolve cache ~source:"a" (cover cmp2));
+  check_status "same source hits" `Hit (Cache.resolve cache ~source:"a" (cover cmp2));
+  checki "a front hit never builds the cover" 1 !built;
+  check_status "same cover without a source hits" `Hit (Cache.resolve cache (cover cmp2));
+  check_status "new source of a cached cover hits" `Hit
+    (Cache.resolve cache ~source:"b" (cover cmp2));
+  check_status "another cover misses" `Miss (Cache.resolve cache ~source:"c" (cover dec2));
+  checki "two entries" 2 (Cache.size cache);
+  checki "two aliases" 2 (Cache.aliases cache);
+  checki "hits" 3 (Cache.hits cache);
+  checki "misses" 2 (Cache.misses cache)
+
+let test_resolve_front_rot_recompiles () =
+  let cache = Cache.create () in
+  let compiled, _ = Cache.resolve cache ~source:"a" (fun () -> cmp2) in
+  Cache.corrupt_for_test compiled;
+  let fresh, status = Cache.resolve cache ~source:"a" (fun () -> cmp2) in
+  check_status "rot reached through the front recompiles" `Miss (fresh, status);
+  checki "corruption counted" 1 (Cache.corruptions cache);
+  checki "recompiled once" 2 (Cache.misses cache);
+  checki "one entry" 1 (Cache.size cache);
+  checki "its alias restored" 1 (Cache.aliases cache);
+  check_every_minterm "recompiled entry = Pla.eval" fresh cmp2;
+  check_status "the fresh entry hits" `Hit (Cache.resolve cache ~source:"a" (fun () -> cmp2))
+
+let test_resolve_store_rot_falls_back () =
+  let cache = Cache.create () in
+  rot_every_store (fun () ->
+      check_status "rotten store falls back" `Fallback
+        (Cache.resolve cache ~source:"a" (fun () -> cmp2));
+      check_status "every rotten store falls back" `Fallback
+        (Cache.resolve cache ~source:"a" (fun () -> cmp2)));
+  checki "one rotten store per lookup" 2 (Cache.corruptions cache);
+  checki "nothing stored" 0 (Cache.size cache);
+  checki "no alias left" 0 (Cache.aliases cache);
+  checkb "the source finds nothing" true (Cache.find_source cache "a" = None);
+  check_status "healthy again: compiles" `Miss (Cache.resolve cache ~source:"a" (fun () -> cmp2))
+
+let test_resolve_fallback_matches_pla () =
+  List.iter
+    (fun cover ->
+      let cache = Cache.create () in
+      let compiled, status = rot_every_store (fun () -> Cache.resolve cache (fun () -> cover)) in
+      check_status "fallback" `Fallback (compiled, status);
+      check_every_minterm "fallback entry = Pla.eval" compiled cover)
+    [
+      cmp2;
+      dec2;
+      universe 0;
+      universe 1;
+      Mcnc.Generators.majority 5;
+      Mcnc.Generators.xor_n 7;
+      Mcnc.Generators.adder ~bits:2;
+    ]
 
 (* --- Bit-sliced (transposed) evaluation ------------------------------------ *)
 
@@ -647,7 +717,13 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "LRU touch reorders recency" `Quick
             test_cache_lru_touch_reorders;
-          Alcotest.test_case "of-planes hit status" `Quick test_compile_of_pla_hit_status;
+          Alcotest.test_case "resolve hit and miss" `Quick test_resolve_hit_and_miss;
+          Alcotest.test_case "resolve recompiles front-key rot" `Quick
+            test_resolve_front_rot_recompiles;
+          Alcotest.test_case "resolve falls back on store rot" `Quick
+            test_resolve_store_rot_falls_back;
+          Alcotest.test_case "resolve fallback = Pla.eval" `Quick
+            test_resolve_fallback_matches_pla;
         ] );
       ( "bit-sliced eval",
         [

@@ -698,9 +698,9 @@ let test_rotten_front_entry_recompiles () =
   checki "no fallback needed" 0 (Server.stats server).Server.fallback_evals
 
 let test_rotten_store_falls_back_uncompiled () =
-  (* Every store rots: the cover key fails twice and the plane-content
-     key once, so the request is served uncompiled, still exact, and
-     nothing rotten is left aliased. *)
+  (* Every store rots: the one cover-keyed store is caught, and the
+     request is served by a standalone compiled entry, still exact, with
+     nothing rotten left aliased. *)
   let server = Server.create { small_config with tenant_quota = 4; max_batch = 256 } in
   let cover = Mcnc.Generators.gray ~bits:3 in
   let program = pla_text cover in
@@ -714,13 +714,36 @@ let test_rotten_store_falls_back_uncompiled () =
   checkb "fallback is no hit" false hit;
   let cache = Tenants.cache (Server.tenants server) "t" in
   checki "one fallback eval" 1 (Server.stats server).Server.fallback_evals;
-  checki "three rotten stores caught" 3 (Runtime.Cache.corruptions cache);
+  checki "one rotten store caught" 1 (Runtime.Cache.corruptions cache);
   checki "nothing aliased" 0 (Runtime.Cache.aliases cache);
   (* disarmed again: the same bytes compile cleanly *)
   checkb "recompiles once healthy" false
     (check_reply "healthy" expected (request c ~tenant:"t" ~program ~batch));
   finish c;
   Server.stop server
+
+let test_persistent_rot_bounded () =
+  (* Degraded mode as a count: with every store rotting, each request
+     costs exactly one rotten store and one standalone compile. *)
+  let server = Server.create { small_config with tenant_quota = 4; max_batch = 256 } in
+  let cover = Mcnc.Generators.bcd7seg () in
+  let program = pla_text cover in
+  let n_in = Logic.Cover.num_inputs cover in
+  let batch = Array.init 200 (fun i -> (all_vectors n_in).(i mod (1 lsl n_in))) in
+  let expected = oracle_rows cover batch in
+  let c = connect server in
+  Fault.Inject.with_armed ~seed:2 { Fault.Inject.nothing with cache_corrupt = 1.0 } (fun _ ->
+      for i = 1 to 20 do
+        let what = Printf.sprintf "request %d under rot" i in
+        checkb what false (check_reply what expected (request c ~tenant:"t" ~program ~batch))
+      done);
+  finish c;
+  Server.stop server;
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  checki "one fallback per request" 20 (Server.stats server).Server.fallback_evals;
+  checki "one rotten store per request" 20 (Runtime.Cache.corruptions cache);
+  checki "nothing stored" 0 (Runtime.Cache.size cache);
+  checki "nothing aliased" 0 (Runtime.Cache.aliases cache)
 
 let () =
   Alcotest.run "serve"
@@ -766,6 +789,8 @@ let () =
             test_rotten_front_entry_recompiles;
           Alcotest.test_case "rotten stores fall back uncompiled" `Quick
             test_rotten_store_falls_back_uncompiled;
+          Alcotest.test_case "persistent rot costs one store per request" `Quick
+            test_persistent_rot_bounded;
         ] );
       ( "supervision",
         [
